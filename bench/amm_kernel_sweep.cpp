@@ -25,16 +25,23 @@
 // in BENCH_roofline.json as the "fusion" object, including the
 // intermediate bytes per row the fused walk never writes.
 //
+// A batch-size axis at the serving shape (ncb=32, nout=64, rows 8-64)
+// lands in BENCH_amm_kernel.json as "tail": each LUT and encoder tier's
+// per-row rate at ragged batch sizes as a fraction of its 64-row rate.
+//
 //   build/bench/amm_kernel_sweep [--smoke] [--out=BENCH_amm_kernel.json]
-//                                [--min-ms=N]
+//                                [--min-ms=N] [--tail-gate]
 //
 // --smoke shrinks the workload to seconds (for the sanitizer CI job),
-// checks exactness on every tier and writes no artifact. The full run
+// checks exactness on every tier and writes no artifact. --tail-gate
+// exits 3 when any batch of >= 16 rows runs below 0.35x of its tier's
+// 64-row per-row rate (the ragged-tail cliff). The full run
 // writes one JSON object (see README "Encoder kernel architecture" for
 // how to read it); the headline cell is (rows=256, ncodebooks=32,
 // nout=128) with two speedups: headline_speedup_256x32x128 (vs the
 // naive reference) and e2e_speedup_256x32x128 (vs the PR 3
 // scalar-encode + packed-kernel end-to-end).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -205,16 +212,152 @@ bool run_fusion_cell(bool smoke, double min_ms,
   return true;
 }
 
+/// Batch-size axis at the serving shape (ncb=32, nout=64): per-row
+/// throughput of every LUT and encoder tier at ragged batch sizes,
+/// relative to the same tier's 64-row rate. Each rate is the best of
+/// kTailRounds short timings (min_ms / 4 each) taken in interleaved
+/// rounds over all cells, so every batch size gets many chances at a
+/// quiet stretch of the run and host noise does not read as a cliff.
+/// Rows >= kTailGateMinRows below kTailGateFrac of the 64-row rate are
+/// counted in `failures`; smaller batches pay for a whole vector tile by
+/// design and are reported only. Returns false on a bit mismatch.
+constexpr std::size_t kTailGateMinRows = 16;
+constexpr double kTailGateFrac = 0.35;
+constexpr int kTailRounds = 20;
+
+bool run_tail_cell(double min_ms,
+                   const std::vector<maddness::KernelTier>& tiers,
+                   const std::vector<maddness::KernelTier>& enc_tiers,
+                   std::string& json, int& failures) {
+  constexpr int kNcb = 32, kNout = 64;
+  const std::size_t row_counts[] = {8, 16, 17, 24, 33, 48, 63, 64};
+  constexpr std::size_t kCells = sizeof(row_counts) / sizeof(row_counts[0]);
+  Rng rng(4242);
+  const maddness::Amm amm = train_operator(rng, kNcb, kNout);
+  const std::size_t d = static_cast<std::size_t>(kNcb) * 9;
+
+  // Exactness first: every encoder and LUT tier against the references.
+  std::vector<maddness::QuantizedActivations> batches;
+  std::vector<maddness::EncodedBatch> encs(kCells);
+  maddness::EncodeScratch scratch;
+  std::vector<std::int16_t> out;
+  for (std::size_t i = 0; i < kCells; ++i) {
+    Matrix x(row_counts[i], d);
+    for (std::size_t j = 0; j < x.size(); ++j)
+      x.data()[j] = static_cast<float>(rng.next_double(0, 220));
+    batches.push_back(
+        maddness::quantize_activations(x, amm.activation_scale()));
+    const auto& q = batches.back();
+    const auto ref_codes =
+        maddness::encode_all_codebook_major(amm.cfg(), amm.trees(), q);
+    for (const maddness::KernelTier tier : enc_tiers) {
+      maddness::encode_batch_packed(amm.encoder_bank(), q, tier, scratch,
+                                    encs[i]);
+      if (encs[i].codes != ref_codes) {
+        std::fprintf(stderr, "TAIL ENCODER MISMATCH: tier %s rows=%zu\n",
+                     maddness::kernel_tier_name(tier), q.rows);
+        return false;
+      }
+    }
+    const auto ref_out = amm.apply_int16_reference(q);
+    for (const maddness::KernelTier tier : tiers) {
+      maddness::apply_lut_packed(amm.packed_lut(), encs[i], tier, out);
+      if (out != ref_out) {
+        std::fprintf(stderr, "TAIL LUT MISMATCH: tier %s rows=%zu\n",
+                     maddness::kernel_tier_name(tier), q.rows);
+        return false;
+      }
+    }
+  }
+
+  // best_s[kernel][tier][cell]; kernel 0 = lut, 1 = encode.
+  std::vector<double> best_s[2][3];
+  for (auto& kernel : best_s)
+    for (auto& tier : kernel) tier.assign(kCells, 1e30);
+  maddness::EncodedBatch enc;
+  for (int round = 0; round < kTailRounds; ++round)
+    for (std::size_t i = 0; i < kCells; ++i) {
+      for (const maddness::KernelTier tier : enc_tiers) {
+        double& best = best_s[1][static_cast<int>(tier)][i];
+        best = std::min(best, seconds_per_call(
+                                  [&] {
+                                    maddness::encode_batch_packed(
+                                        amm.encoder_bank(), batches[i], tier,
+                                        scratch, enc);
+                                    g_sink = static_cast<std::int16_t>(
+                                        g_sink + enc.codes[0]);
+                                  },
+                                  min_ms / 4));
+      }
+      for (const maddness::KernelTier tier : tiers) {
+        double& best = best_s[0][static_cast<int>(tier)][i];
+        best = std::min(best, seconds_per_call(
+                                  [&] {
+                                    maddness::apply_lut_packed(
+                                        amm.packed_lut(), encs[i], tier, out);
+                                    g_sink = static_cast<std::int16_t>(
+                                        g_sink + out[0]);
+                                  },
+                                  min_ms / 4));
+      }
+    }
+
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{\"ncodebooks\":%d,\"nout\":%d,\"gate_min_rows\":%zu,"
+                "\"gate_frac_of_r64\":%.2f",
+                kNcb, kNout, kTailGateMinRows, kTailGateFrac);
+  json = buf;
+  const char* kernel_names[] = {"lut", "encode"};
+  const std::vector<maddness::KernelTier>* kernel_tiers[] = {&tiers,
+                                                             &enc_tiers};
+  for (int k = 0; k < 2; ++k) {
+    json += std::string(",\"") + kernel_names[k] + "\":{";
+    bool first_tier = true;
+    for (const maddness::KernelTier tier : *kernel_tiers[k]) {
+      const std::vector<double>& sec = best_s[k][static_cast<int>(tier)];
+      const double full = 64.0 / sec.back();  // the 64-row batch
+      json += std::string(first_tier ? "" : ",") + "\"" +
+              maddness::kernel_tier_name(tier) + "\":[";
+      first_tier = false;
+      for (std::size_t i = 0; i < kCells; ++i) {
+        const std::size_t rows = row_counts[i];
+        const double rate = static_cast<double>(rows) / sec[i];
+        const double frac = rate / full;
+        const bool fail = rows >= kTailGateMinRows && frac < kTailGateFrac;
+        failures += fail ? 1 : 0;
+        std::snprintf(buf, sizeof(buf),
+                      "%s{\"rows\":%zu,\"rows_per_s\":%.0f,"
+                      "\"frac_of_r64\":%.3f}",
+                      i == 0 ? "" : ",", rows, rate, frac);
+        json += buf;
+        std::fprintf(stderr,
+                     "tail %-6s %-6s rows=%2zu  %.0f rows/s  %.2fx of "
+                     "r64%s\n",
+                     kernel_names[k], maddness::kernel_tier_name(tier),
+                     rows, rate, frac, fail ? "  BELOW GATE" : "");
+      }
+      json += "]";
+    }
+    json += "}";
+  }
+  json += "}";
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  bool tail_gate = false;
   std::string out_path = "BENCH_amm_kernel.json";
   std::string roofline_path = "BENCH_roofline.json";
   double min_ms = 150.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
       smoke = true;
+    else if (std::strcmp(argv[i], "--tail-gate") == 0)
+      tail_gate = true;
     else if (std::strncmp(argv[i], "--out=", 6) == 0)
       out_path = argv[i] + 6;
     else if (std::strncmp(argv[i], "--roofline-out=", 15) == 0)
@@ -423,6 +566,21 @@ int main(int argc, char** argv) {
   telemetry::FusionRoofline fusion;
   if (!run_fusion_cell(smoke, min_ms, tiers, fusion)) return 2;
 
+  std::string tail_json;
+  int tail_failures = 0;
+  if (!run_tail_cell(min_ms, tiers, enc_tiers, tail_json, tail_failures))
+    return 2;
+  // Checked after the artifact is written, so a failing run still
+  // records the rates that failed.
+  const auto tail_gate_status = [&](int ok_status) {
+    if (!tail_gate || tail_failures == 0) return ok_status;
+    std::fprintf(stderr,
+                 "TAIL GATE FAILED: %d batch size(s) of >= %zu rows below "
+                 "%.2fx of their tier's 64-row rate\n",
+                 tail_failures, kTailGateMinRows, kTailGateFrac);
+    return 3;
+  };
+
   if (smoke) {
     std::fprintf(stderr, "smoke ok (kernel tiers:");
     for (const maddness::KernelTier tier : tiers)
@@ -431,7 +589,7 @@ int main(int argc, char** argv) {
     for (const maddness::KernelTier tier : enc_tiers)
       std::fprintf(stderr, " %s", maddness::kernel_tier_name(tier));
     std::fprintf(stderr, ")\n");
-    return 0;
+    return tail_gate_status(0);
   }
 
   std::string tiers_json;
@@ -511,6 +669,7 @@ int main(int argc, char** argv) {
       "],\"encoder_tier_selected\":\"" +
       maddness::kernel_tier_name(maddness::select_encoder_tier()) +
       "\",\"encoder_tiers_available\":[" + enc_tiers_json + "]," +
-      headline + "," + roofsum + ",\"cells\":[" + cells_json + "]}";
-  return benchenv::write_artifact(out_path, json) ? 0 : 1;
+      headline + "," + roofsum + ",\"tail\":" + tail_json +
+      ",\"cells\":[" + cells_json + "]}";
+  return tail_gate_status(benchenv::write_artifact(out_path, json) ? 0 : 1);
 }

@@ -110,39 +110,21 @@ KernelTier select_encoder_tier() {
 
 namespace detail {
 
-// Branchless scalar tournament (the portable tier and the SIMD tiers'
-// tail handler): each level's compare result feeds straight into the
-// next level's threshold index, no branches for the compiler to guess.
+// Branchless scalar tournament (the portable tier): each level's compare
+// result feeds straight into the next level's threshold index, no
+// branches for the compiler to guess.
 void encode_codebook_scalar(const std::uint8_t* stage, std::size_t stride,
-                            std::size_t row_lo, std::size_t rows,
-                            const std::uint8_t* thr, std::uint8_t* codes) {
+                            std::size_t rows, const std::uint8_t* thr,
+                            std::uint8_t* codes) {
   const std::uint8_t* s0 = stage;
   const std::uint8_t* s1 = stage + stride;
   const std::uint8_t* s2 = stage + 2 * stride;
   const std::uint8_t* s3 = stage + 3 * stride;
-  for (std::size_t n = row_lo; n < rows; ++n) {
+  for (std::size_t n = 0; n < rows; ++n) {
     unsigned idx = static_cast<unsigned>(s0[n] >= thr[0]);
     idx = 2 * idx + static_cast<unsigned>(s1[n] >= thr[1 + idx]);
     idx = 2 * idx + static_cast<unsigned>(s2[n] >= thr[3 + idx]);
     idx = 2 * idx + static_cast<unsigned>(s3[n] >= thr[7 + idx]);
-    codes[n] = static_cast<std::uint8_t>(idx);
-  }
-}
-
-// Branchless scalar walk over raw activation rows (the windowed path's
-// tail handler): pick[0..3] are the window-relative split offsets.
-void encode_codebook_windowed_scalar(const std::uint8_t* src,
-                                     std::size_t row_stride,
-                                     std::size_t row_lo, std::size_t rows,
-                                     const std::uint8_t* pick,
-                                     const std::uint8_t* thr,
-                                     std::uint8_t* codes) {
-  for (std::size_t n = row_lo; n < rows; ++n) {
-    const std::uint8_t* row = src + n * row_stride;
-    unsigned idx = static_cast<unsigned>(row[pick[0]] >= thr[0]);
-    idx = 2 * idx + static_cast<unsigned>(row[pick[1]] >= thr[1 + idx]);
-    idx = 2 * idx + static_cast<unsigned>(row[pick[2]] >= thr[3 + idx]);
-    idx = 2 * idx + static_cast<unsigned>(row[pick[3]] >= thr[7 + idx]);
     codes[n] = static_cast<std::uint8_t>(idx);
   }
 }
@@ -165,7 +147,7 @@ inline void traverse_codebook(KernelTier tier, const std::uint8_t* stage,
       detail::encode_codebook_ssse3(stage, stride, rows, thr, codes);
       break;
     case KernelTier::kScalar:
-      detail::encode_codebook_scalar(stage, stride, 0, rows, thr, codes);
+      detail::encode_codebook_scalar(stage, stride, rows, thr, codes);
       break;
   }
 }

@@ -130,12 +130,16 @@ namespace detail {
 // Per-tier traversal entry points over one codebook's staging columns
 // (kLevels columns of `rows` bytes at `stride` apart, starting at
 // `stage`). `thr` is the codebook's padded 16-byte threshold block;
-// codes[0, rows) receive the leaf indices. The SIMD TUs compile with
-// their -m flags when available; otherwise the *_compiled_in() probes
-// return false and the dispatcher never calls them.
+// codes[0, rows) receive the leaf indices. The SIMD tiers run every row
+// through whole 16/32-row blocks: a partial last block reads the
+// staging columns' padding (so `stride` must be at least `rows` rounded
+// up to 32; encode_batch_packed pads every column to whole cache lines)
+// and stores only its rows below `rows`. The SIMD TUs compile with their
+// -m flags when available; otherwise the *_compiled_in() probes return
+// false and the dispatcher never calls them.
 void encode_codebook_scalar(const std::uint8_t* stage, std::size_t stride,
-                            std::size_t row_lo, std::size_t rows,
-                            const std::uint8_t* thr, std::uint8_t* codes);
+                            std::size_t rows, const std::uint8_t* thr,
+                            std::uint8_t* codes);
 bool encoder_ssse3_compiled_in();
 void encode_codebook_ssse3(const std::uint8_t* stage, std::size_t stride,
                            std::size_t rows, const std::uint8_t* thr,
@@ -150,13 +154,9 @@ void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
 // base already offset by the codebook's window_off, `row_stride` the
 // activation row width, `pick` the codebook's 16-byte pick mask — and
 // run the same branchless tournament with an in-register transpose, no
-// staging tile. Bit-identical to the staged path.
-void encode_codebook_windowed_scalar(const std::uint8_t* src,
-                                     std::size_t row_stride,
-                                     std::size_t row_lo, std::size_t rows,
-                                     const std::uint8_t* pick,
-                                     const std::uint8_t* thr,
-                                     std::uint8_t* codes);
+// staging tile. Bit-identical to the staged path. A partial last block
+// gathers its missing rows from row `rows - 1` and stores only its rows
+// below `rows`, so no activation row past the batch is read.
 void encode_codebook_windowed_ssse3(const std::uint8_t* src,
                                     std::size_t row_stride,
                                     std::size_t rows,

@@ -3,9 +3,13 @@
 // codebook's 16-byte threshold block is broadcast to both 128-bit lanes,
 // so one vpshufb gathers 32 rows' node thresholds per level — vpshufb
 // shuffles within each lane, which is exactly right with the operand
-// duplicated. 32 rows resolve all four levels in ~12 vector ops; the
-// ragged tail falls through to the branchless scalar tournament.
+// duplicated. 32 rows resolve all four levels in ~12 vector ops; a
+// partial last block runs the same ops and stores only its real rows.
+#include <algorithm>
+
 #include "maddness/encoder_kernel.hpp"
+#include "maddness/encoder_kernel_simd.hpp"
+#include "util/check.hpp"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -15,88 +19,46 @@ namespace ssma::maddness::detail {
 
 #if defined(__AVX2__)
 
+namespace {
+
+constexpr std::size_t kRowBlock = 32;
+
+/// The branchless 4-level tournament over 32 rows' split bytes x[0..3]
+/// (level order) against the broadcast threshold block T; returns each
+/// row's leaf index.
+inline __m256i tournament(const __m256i x[4], __m256i T) {
+  const __m256i t0 = _mm256_shuffle_epi8(T, _mm256_setzero_si256());
+  __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x[0], t0), x[0]);
+  __m256i idx = _mm256_sub_epi8(_mm256_setzero_si256(), ge);
+  __m256i t = _mm256_shuffle_epi8(
+      T, _mm256_add_epi8(idx, _mm256_set1_epi8(1)));
+  ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x[1], t), x[1]);
+  idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
+  t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, _mm256_set1_epi8(3)));
+  ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x[2], t), x[2]);
+  idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
+  t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, _mm256_set1_epi8(7)));
+  ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x[3], t), x[3]);
+  return _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
+}
+
+}  // namespace
+
 bool encoder_avx2_compiled_in() { return true; }
 
 void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
                           std::size_t rows, const std::uint8_t* thr,
                           std::uint8_t* codes) {
-  constexpr std::size_t kRowBlock = 32;
-  const std::size_t full = rows - rows % kRowBlock;
   const __m256i T = _mm256_broadcastsi128_si256(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(thr)));
-  const __m256i t0 = _mm256_set1_epi8(static_cast<char>(thr[0]));
-  const __m256i off1 = _mm256_set1_epi8(1);
-  const __m256i off3 = _mm256_set1_epi8(3);
-  const __m256i off7 = _mm256_set1_epi8(7);
-  for (std::size_t n = 0; n < full; n += kRowBlock) {
-    const __m256i x0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stage + n));
-    const __m256i x1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stage + stride + n));
-    const __m256i x2 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stage + 2 * stride + n));
-    const __m256i x3 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stage + 3 * stride + n));
-
-    __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x0, t0), x0);
-    __m256i idx = _mm256_sub_epi8(_mm256_setzero_si256(), ge);
-    __m256i t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off1));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x1, t), x1);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-    t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off3));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x2, t), x2);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-    t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off7));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x3, t), x3);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(codes + n), idx);
+  for (std::size_t n = 0; n < rows; n += kRowBlock) {
+    __m256i x[4];
+    for (std::size_t l = 0; l < 4; ++l)
+      x[l] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(stage + l * stride + n));
+    store_codes(codes, n, rows, tournament(x, T));
   }
-  encode_codebook_scalar(stage, stride, full, rows, thr, codes);
 }
-
-namespace {
-
-/// Gathers and transposes one 16-row group: 16-byte window load + pick
-/// shuffle per row, packed 4 rows at a time, then a 4x4 dword transpose
-/// (see encoder_kernel_ssse3.cpp for the layout walkthrough). Returns
-/// the four level vectors for rows [n, n+16).
-inline void gather_window_16(const std::uint8_t* src,
-                             std::size_t row_stride, std::size_t n,
-                             __m128i pickv, __m128i relay, __m128i x[4]) {
-  __m128i g[4];
-  for (int b = 0; b < 4; ++b) {
-    const std::uint8_t* p =
-        src + (n + 4 * static_cast<std::size_t>(b)) * row_stride;
-    const __m128i r0 = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), pickv);
-    const __m128i r1 = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + row_stride)),
-        pickv);
-    const __m128i r2 = _mm_shuffle_epi8(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(p + 2 * row_stride)),
-        pickv);
-    const __m128i r3 = _mm_shuffle_epi8(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(p + 3 * row_stride)),
-        pickv);
-    g[b] = _mm_shuffle_epi8(
-        _mm_unpacklo_epi64(_mm_unpacklo_epi32(r0, r1),
-                           _mm_unpacklo_epi32(r2, r3)),
-        relay);
-  }
-  const __m128i a0 = _mm_unpacklo_epi32(g[0], g[1]);
-  const __m128i a1 = _mm_unpackhi_epi32(g[0], g[1]);
-  const __m128i a2 = _mm_unpacklo_epi32(g[2], g[3]);
-  const __m128i a3 = _mm_unpackhi_epi32(g[2], g[3]);
-  x[0] = _mm_unpacklo_epi64(a0, a2);
-  x[1] = _mm_unpackhi_epi64(a0, a2);
-  x[2] = _mm_unpacklo_epi64(a1, a3);
-  x[3] = _mm_unpackhi_epi64(a1, a3);
-}
-
-}  // namespace
 
 void encode_codebook_windowed_avx2(const std::uint8_t* src,
                                    std::size_t row_stride,
@@ -104,43 +66,36 @@ void encode_codebook_windowed_avx2(const std::uint8_t* src,
                                    const std::uint8_t* pick,
                                    const std::uint8_t* thr,
                                    std::uint8_t* codes) {
-  constexpr std::size_t kRowBlock = 32;  // two 16-row gather groups
-  const std::size_t full = rows - rows % kRowBlock;
   const __m128i pickv =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(pick));
-  const __m128i relay = _mm_set_epi8(15, 11, 7, 3, 14, 10, 6, 2, 13, 9, 5,
-                                     1, 12, 8, 4, 0);
   const __m256i T = _mm256_broadcastsi128_si256(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(thr)));
-  const __m256i t0 = _mm256_set1_epi8(static_cast<char>(thr[0]));
-  const __m256i off1 = _mm256_set1_epi8(1);
-  const __m256i off3 = _mm256_set1_epi8(3);
-  const __m256i off7 = _mm256_set1_epi8(7);
-  for (std::size_t n = 0; n < full; n += kRowBlock) {
-    __m128i xl[4], xh[4];
-    gather_window_16(src, row_stride, n, pickv, relay, xl);
-    gather_window_16(src, row_stride, n + 16, pickv, relay, xh);
-    const __m256i x0 = _mm256_set_m128i(xh[0], xl[0]);
-    const __m256i x1 = _mm256_set_m128i(xh[1], xl[1]);
-    const __m256i x2 = _mm256_set_m128i(xh[2], xl[2]);
-    const __m256i x3 = _mm256_set_m128i(xh[3], xl[3]);
-
-    __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x0, t0), x0);
-    __m256i idx = _mm256_sub_epi8(_mm256_setzero_si256(), ge);
-    __m256i t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off1));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x1, t), x1);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-    t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off3));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x2, t), x2);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-    t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off7));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x3, t), x3);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(codes + n), idx);
+  // Two 16-row gather groups per block.
+  const auto finish = [&](std::size_t n, const __m128i xl[4],
+                          const __m128i xh[4]) {
+    __m256i x[4];
+    for (int l = 0; l < 4; ++l) x[l] = _mm256_set_m128i(xh[l], xl[l]);
+    store_codes(codes, n, rows, tournament(x, T));
+  };
+  std::size_t n = 0;
+  __m128i xl[4], xh[4];
+  for (; n + kRowBlock <= rows; n += kRowBlock) {
+    gather_window_16<false>(src, row_stride, n, rows - 1, pickv, xl);
+    gather_window_16<false>(src, row_stride, n + 16, rows - 1, pickv, xh);
+    finish(n, xl, xh);
   }
-  encode_codebook_windowed_scalar(src, row_stride, full, rows, pick, thr,
-                                  codes);
+  if (n == rows) return;
+  // The partial last block: only a group that runs past the batch pays
+  // for the row clamp, and one with no real rows is not gathered.
+  if (n + 16 <= rows)
+    gather_window_16<false>(src, row_stride, n, rows - 1, pickv, xl);
+  else
+    gather_window_16<true>(src, row_stride, n, rows - 1, pickv, xl);
+  if (n + 16 < rows)
+    gather_window_16<true>(src, row_stride, n + 16, rows - 1, pickv, xh);
+  else
+    std::copy(xl, xl + 4, xh);
+  finish(n, xl, xh);
 }
 
 #else  // !defined(__AVX2__)
@@ -150,17 +105,13 @@ bool encoder_avx2_compiled_in() { return false; }
 void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
                           std::size_t rows, const std::uint8_t* thr,
                           std::uint8_t* codes) {
-  encode_codebook_scalar(stage, stride, 0, rows, thr, codes);
+  encode_codebook_scalar(stage, stride, rows, thr, codes);
 }
 
-void encode_codebook_windowed_avx2(const std::uint8_t* src,
-                                   std::size_t row_stride,
-                                   std::size_t rows,
-                                   const std::uint8_t* pick,
-                                   const std::uint8_t* thr,
-                                   std::uint8_t* codes) {
-  encode_codebook_windowed_scalar(src, row_stride, 0, rows, pick, thr,
-                                  codes);
+void encode_codebook_windowed_avx2(const std::uint8_t*, std::size_t,
+                                   std::size_t, const std::uint8_t*,
+                                   const std::uint8_t*, std::uint8_t*) {
+  SSMA_CHECK_MSG(false, "windowed encode needs a compiled-in SIMD tier");
 }
 
 #endif

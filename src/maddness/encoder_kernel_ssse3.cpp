@@ -7,9 +7,12 @@
 //     max_epu8(x, t) == x (equality included — the hardware's >= rail);
 //   * the 0xFF/0x00 mask folds into the index with
 //     idx = (idx + idx) - mask, i.e. idx = 2*idx + (x >= t).
-// The ragged tail below one 16-row block falls through to the branchless
-// scalar tournament, which is bit-identical by construction.
+// A partial last 16-row block runs the same instructions; its lanes past
+// the batch read staging padding (or, windowed, the batch's last row)
+// and are dropped at the store.
 #include "maddness/encoder_kernel.hpp"
+#include "maddness/encoder_kernel_simd.hpp"
+#include "util/check.hpp"
 
 #if defined(__SSSE3__)
 #include <immintrin.h>
@@ -19,46 +22,46 @@ namespace ssma::maddness::detail {
 
 #if defined(__SSSE3__)
 
+namespace {
+
+constexpr std::size_t kRowBlock = 16;
+
+/// The branchless 4-level tournament over 16 rows' split bytes x[0..3]
+/// (level order) against the codebook's threshold block T; returns each
+/// row's leaf index.
+inline __m128i tournament(const __m128i x[4], __m128i T) {
+  // Level 0: one shared threshold, broadcast.
+  const __m128i t0 = _mm_shuffle_epi8(T, _mm_setzero_si128());
+  __m128i ge = _mm_cmpeq_epi8(_mm_max_epu8(x[0], t0), x[0]);
+  __m128i idx = _mm_sub_epi8(_mm_setzero_si128(), ge);
+  // Levels 1-3: per-row threshold gather from the packed block.
+  __m128i t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, _mm_set1_epi8(1)));
+  ge = _mm_cmpeq_epi8(_mm_max_epu8(x[1], t), x[1]);
+  idx = _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
+  t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, _mm_set1_epi8(3)));
+  ge = _mm_cmpeq_epi8(_mm_max_epu8(x[2], t), x[2]);
+  idx = _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
+  t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, _mm_set1_epi8(7)));
+  ge = _mm_cmpeq_epi8(_mm_max_epu8(x[3], t), x[3]);
+  return _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
+}
+
+}  // namespace
+
 bool encoder_ssse3_compiled_in() { return true; }
 
 void encode_codebook_ssse3(const std::uint8_t* stage, std::size_t stride,
                            std::size_t rows, const std::uint8_t* thr,
                            std::uint8_t* codes) {
-  constexpr std::size_t kRowBlock = 16;
-  const std::size_t full = rows - rows % kRowBlock;
   const __m128i T =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(thr));
-  const __m128i t0 = _mm_set1_epi8(static_cast<char>(thr[0]));
-  const __m128i off1 = _mm_set1_epi8(1);
-  const __m128i off3 = _mm_set1_epi8(3);
-  const __m128i off7 = _mm_set1_epi8(7);
-  for (std::size_t n = 0; n < full; n += kRowBlock) {
-    const __m128i x0 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(stage + n));
-    const __m128i x1 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(stage + stride + n));
-    const __m128i x2 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(stage + 2 * stride + n));
-    const __m128i x3 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(stage + 3 * stride + n));
-
-    // Level 0: one shared threshold, broadcast.
-    __m128i ge = _mm_cmpeq_epi8(_mm_max_epu8(x0, t0), x0);
-    __m128i idx = _mm_sub_epi8(_mm_setzero_si128(), ge);
-    // Levels 1-3: per-row threshold gather from the packed block.
-    __m128i t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, off1));
-    ge = _mm_cmpeq_epi8(_mm_max_epu8(x1, t), x1);
-    idx = _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
-    t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, off3));
-    ge = _mm_cmpeq_epi8(_mm_max_epu8(x2, t), x2);
-    idx = _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
-    t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, off7));
-    ge = _mm_cmpeq_epi8(_mm_max_epu8(x3, t), x3);
-    idx = _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
-
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(codes + n), idx);
+  for (std::size_t n = 0; n < rows; n += kRowBlock) {
+    __m128i x[4];
+    for (std::size_t l = 0; l < 4; ++l)
+      x[l] = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(stage + l * stride + n));
+    store_codes(codes, n, rows, tournament(x, T));
   }
-  encode_codebook_scalar(stage, stride, full, rows, thr, codes);
 }
 
 void encode_codebook_windowed_ssse3(const std::uint8_t* src,
@@ -67,74 +70,21 @@ void encode_codebook_windowed_ssse3(const std::uint8_t* src,
                                     const std::uint8_t* pick,
                                     const std::uint8_t* thr,
                                     std::uint8_t* codes) {
-  constexpr std::size_t kRowBlock = 16;
-  const std::size_t full = rows - rows % kRowBlock;
   const __m128i pickv =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(pick));
-  // After the per-row pick, a 4-row group register holds
-  // [r0: d0..d3 | r1 | r2 | r3]; this shuffle regroups it level-major:
-  // [d0: r0..r3 | d1 | d2 | d3].
-  const __m128i relay = _mm_set_epi8(15, 11, 7, 3, 14, 10, 6, 2, 13, 9, 5,
-                                     1, 12, 8, 4, 0);
   const __m128i T =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(thr));
-  const __m128i t0 = _mm_set1_epi8(static_cast<char>(thr[0]));
-  const __m128i off1 = _mm_set1_epi8(1);
-  const __m128i off3 = _mm_set1_epi8(3);
-  const __m128i off7 = _mm_set1_epi8(7);
-  for (std::size_t n = 0; n < full; n += kRowBlock) {
-    // Gather: one 16-byte window load + one pshufb per row picks the 4
-    // split bytes; three unpacks pack 4 rows into one register.
-    __m128i g[4];
-    for (int b = 0; b < 4; ++b) {
-      const std::uint8_t* p =
-          src + (n + 4 * static_cast<std::size_t>(b)) * row_stride;
-      const __m128i r0 = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), pickv);
-      const __m128i r1 = _mm_shuffle_epi8(
-          _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(p + row_stride)),
-          pickv);
-      const __m128i r2 = _mm_shuffle_epi8(
-          _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(p + 2 * row_stride)),
-          pickv);
-      const __m128i r3 = _mm_shuffle_epi8(
-          _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(p + 3 * row_stride)),
-          pickv);
-      g[b] = _mm_shuffle_epi8(
-          _mm_unpacklo_epi64(_mm_unpacklo_epi32(r0, r1),
-                             _mm_unpacklo_epi32(r2, r3)),
-          relay);
-    }
-    // 4x4 dword transpose across the groups -> per-level row vectors.
-    const __m128i a0 = _mm_unpacklo_epi32(g[0], g[1]);
-    const __m128i a1 = _mm_unpackhi_epi32(g[0], g[1]);
-    const __m128i a2 = _mm_unpacklo_epi32(g[2], g[3]);
-    const __m128i a3 = _mm_unpackhi_epi32(g[2], g[3]);
-    const __m128i x0 = _mm_unpacklo_epi64(a0, a2);
-    const __m128i x1 = _mm_unpackhi_epi64(a0, a2);
-    const __m128i x2 = _mm_unpacklo_epi64(a1, a3);
-    const __m128i x3 = _mm_unpackhi_epi64(a1, a3);
-
-    // Identical tournament to the staged path.
-    __m128i ge = _mm_cmpeq_epi8(_mm_max_epu8(x0, t0), x0);
-    __m128i idx = _mm_sub_epi8(_mm_setzero_si128(), ge);
-    __m128i t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, off1));
-    ge = _mm_cmpeq_epi8(_mm_max_epu8(x1, t), x1);
-    idx = _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
-    t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, off3));
-    ge = _mm_cmpeq_epi8(_mm_max_epu8(x2, t), x2);
-    idx = _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
-    t = _mm_shuffle_epi8(T, _mm_add_epi8(idx, off7));
-    ge = _mm_cmpeq_epi8(_mm_max_epu8(x3, t), x3);
-    idx = _mm_sub_epi8(_mm_add_epi8(idx, idx), ge);
-
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(codes + n), idx);
+  // Identical tournament to the staged path; only the batch's partial
+  // last block pays for the row clamp.
+  std::size_t n = 0;
+  __m128i x[4];
+  for (; n + kRowBlock <= rows; n += kRowBlock) {
+    gather_window_16<false>(src, row_stride, n, rows - 1, pickv, x);
+    store_codes(codes, n, rows, tournament(x, T));
   }
-  encode_codebook_windowed_scalar(src, row_stride, full, rows, pick, thr,
-                                  codes);
+  if (n == rows) return;
+  gather_window_16<true>(src, row_stride, n, rows - 1, pickv, x);
+  store_codes(codes, n, rows, tournament(x, T));
 }
 
 #else  // !defined(__SSSE3__)
@@ -146,17 +96,13 @@ void encode_codebook_ssse3(const std::uint8_t* stage, std::size_t stride,
                            std::uint8_t* codes) {
   // Unreachable: the dispatcher never selects a tier whose
   // *_compiled_in() probe is false. Fall back defensively anyway.
-  encode_codebook_scalar(stage, stride, 0, rows, thr, codes);
+  encode_codebook_scalar(stage, stride, rows, thr, codes);
 }
 
-void encode_codebook_windowed_ssse3(const std::uint8_t* src,
-                                    std::size_t row_stride,
-                                    std::size_t rows,
-                                    const std::uint8_t* pick,
-                                    const std::uint8_t* thr,
-                                    std::uint8_t* codes) {
-  encode_codebook_windowed_scalar(src, row_stride, 0, rows, pick, thr,
-                                  codes);
+void encode_codebook_windowed_ssse3(const std::uint8_t*, std::size_t,
+                                    std::size_t, const std::uint8_t*,
+                                    const std::uint8_t*, std::uint8_t*) {
+  SSMA_CHECK_MSG(false, "windowed encode needs a compiled-in SIMD tier");
 }
 
 #endif

@@ -151,14 +151,14 @@ namespace {
 // L1-hot tile.
 template <class Sink>
 void scalar_rows_impl(const LutBankPacked& lut, const EncodedBatch& enc,
-                      std::size_t row_lo, Sink sink) {
+                      Sink sink) {
   constexpr std::size_t kRowBlock = 32;
   constexpr int kOutBlock = 16;
   const int nout = lut.nout;
   const int nk = lut.nprotos;
   const std::size_t rows = enc.rows;
   std::int32_t acc[kRowBlock * kOutBlock];
-  for (std::size_t n0 = row_lo; n0 < rows; n0 += kRowBlock) {
+  for (std::size_t n0 = 0; n0 < rows; n0 += kRowBlock) {
     const std::size_t nb = std::min(kRowBlock, rows - n0);
     for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
       const int ob = std::min(kOutBlock, nout - o0);
@@ -204,30 +204,17 @@ struct FusedRowSink {
 
 }  // namespace
 
-void apply_packed_scalar_rows(const LutBankPacked& lut,
-                              const EncodedBatch& enc, std::size_t row_lo,
-                              std::int16_t* out) {
-  scalar_rows_impl(lut, enc, row_lo,
-                   StoreRowSink{out, static_cast<std::size_t>(lut.nout)});
-}
-
 void apply_packed_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
                          std::int16_t* out) {
-  apply_packed_scalar_rows(lut, enc, 0, out);
-}
-
-void apply_fused_scalar_rows(const LutBankPacked& lut,
-                             const EncodedBatch& enc,
-                             const FusedEpilogue& ep, std::size_t row_lo,
-                             std::uint8_t* dst) {
-  scalar_rows_impl(lut, enc, row_lo,
-                   FusedRowSink{&lut, dst, ep.next_scale,
-                                static_cast<std::size_t>(lut.nout)});
+  scalar_rows_impl(lut, enc,
+                   StoreRowSink{out, static_cast<std::size_t>(lut.nout)});
 }
 
 void apply_fused_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
                         const FusedEpilogue& ep, std::uint8_t* dst) {
-  apply_fused_scalar_rows(lut, enc, ep, 0, dst);
+  scalar_rows_impl(lut, enc,
+                   FusedRowSink{&lut, dst, ep.next_scale,
+                                static_cast<std::size_t>(lut.nout)});
 }
 
 }  // namespace detail

@@ -10,6 +10,10 @@
 //     register; 16 rows of codes index it in a single shuffle.
 //   * kAvx2   — the same with the table broadcast to both 128-bit lanes,
 //     32 rows per shuffle.
+// Every row of a batch takes its tier's vector body: a partial last row
+// tile reads its codes from a zero-padded stack copy (TileCodes) and its
+// sink drops the lanes past the batch (RowBound), so ragged batches never
+// fall back to scalar code.
 // The SIMD tiers require the hardware table shape (K == 16, codes < 16);
 // other K values dispatch to the scalar kernel. Tier selection happens at
 // runtime from CPUID (overridable via the SSMA_KERNEL environment
@@ -18,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "maddness/lut.hpp"
@@ -125,10 +130,91 @@ bool avx2_compiled_in();
 void apply_packed_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                        std::int16_t* out);
 
-/// Scalar tail helper shared by the SIMD tiers: rows [row_lo, rows).
-void apply_packed_scalar_rows(const LutBankPacked& lut,
-                              const EncodedBatch& enc, std::size_t row_lo,
-                              std::int16_t* out);
+/// memcpy of n < kMax bytes (kMax a power of two) as a few fixed-size
+/// moves rather than a library call: the SIMD tiers' partial-tile copies
+/// are short and run on every ragged batch.
+template <std::size_t kMax>
+inline void copy_short(std::uint8_t* dst, const std::uint8_t* src,
+                       std::size_t n) {
+  for (std::size_t chunk = kMax / 2; chunk > 0; chunk /= 2)
+    if (n & chunk) {
+      std::memcpy(dst, src, chunk);
+      dst += chunk;
+      src += chunk;
+    }
+}
+
+/// Codes of one SIMD row tile [n0, n0 + kTileRows) for codebooks
+/// [c0, c_end): codebook c's kTileRows codes start at codebook(c).
+struct TileCodes {
+  const std::uint8_t* base;
+  std::size_t stride;
+  int c0;
+  const std::uint8_t* codebook(int c) const {
+    return base + static_cast<std::size_t>(c - c0) * stride;
+  }
+};
+
+/// A full tile points straight into `enc`. The partial last tile is
+/// copied into `block` (at least (c_end - c0) * kTileRows bytes) and
+/// padded with code 0, so whole-tile vector loads never read past the
+/// batch; RowBound drops the lanes past enc.rows.
+template <std::size_t kTileRows>
+TileCodes tile_codes(const EncodedBatch& enc, std::size_t n0, int c0,
+                     int c_end, std::uint8_t* block) {
+  if (n0 + kTileRows <= enc.rows) return {enc.codes.data() + n0, enc.rows, 0};
+  std::memset(block, 0, static_cast<std::size_t>(c_end - c0) * kTileRows);
+  for (int c = c0; c < c_end; ++c)
+    copy_short<kTileRows>(block + static_cast<std::size_t>(c - c0) * kTileRows,
+                          enc.codebook(c) + n0, enc.rows - n0);
+  return {block, kTileRows, c0};
+}
+
+/// The SIMD tiers' classic-accumulate sink: int16 quads / elements land
+/// in the int16 output. A quad is a 128-bit vector holding outputs
+/// o0..o0+3 of row r in its low 64 bits and of row r+1 in its high 64;
+/// kPair = false stores row r only.
+struct StoreSink {
+  std::int16_t* out;
+  std::size_t nout;
+  template <bool kPair = true, class Quad>
+  void quad2(std::size_t r, int o0, const Quad& q) const {
+    std::int16_t* d = out + r * nout + static_cast<std::size_t>(o0);
+    std::memcpy(d, &q, 8);
+    if constexpr (kPair)
+      std::memcpy(d + nout, reinterpret_cast<const char*>(&q) + 8, 8);
+  }
+  void one16(std::size_t r, int o, std::int16_t v) const {
+    out[r * nout + static_cast<std::size_t>(o)] = v;
+  }
+};
+
+/// Sink adaptor for a partial last row tile: forwards rows < `rows` and
+/// drops the padded ones.
+template <class Sink>
+struct RowBound {
+  Sink sink;
+  std::size_t rows;
+  template <class Quad>
+  void quad2(std::size_t r, int o0, const Quad& q) const {
+    if (r + 1 < rows)
+      sink.quad2(r, o0, q);
+    else if (r < rows)
+      sink.template quad2<false>(r, o0, q);
+  }
+  void one16(std::size_t r, int o, std::int16_t v) const {
+    if (r < rows) sink.one16(r, o, v);
+  }
+};
+
+/// Runs tile(n0, sink) on each full kTileRows-row tile of a batch, then
+/// on the partial last tile with the sink wrapped in RowBound.
+template <std::size_t kTileRows, class Sink, class Tile>
+void for_each_row_tile(std::size_t rows, const Sink& sink, const Tile& tile) {
+  const std::size_t full = rows - rows % kTileRows;
+  for (std::size_t n0 = 0; n0 < full; n0 += kTileRows) tile(n0, sink);
+  if (full < rows) tile(full, RowBound<Sink>{sink, rows});
+}
 
 /// The single saturation of the accumulate contract (int32 total ->
 /// int16), shared by every tier's store and fused paths.
@@ -164,12 +250,6 @@ void apply_fused_ssse3(const LutBankPacked& lut, const EncodedBatch& enc,
                        const FusedEpilogue& ep, std::uint8_t* dst);
 void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                       const FusedEpilogue& ep, std::uint8_t* dst);
-
-/// Scalar fused tail shared by the SIMD tiers: rows [row_lo, rows).
-void apply_fused_scalar_rows(const LutBankPacked& lut,
-                             const EncodedBatch& enc,
-                             const FusedEpilogue& ep, std::size_t row_lo,
-                             std::uint8_t* dst);
 
 }  // namespace detail
 

@@ -16,8 +16,11 @@
 // reference int32 accumulation.
 //
 // unpack interleaves within each 128-bit lane, so accumulator lanes hold
-// rows permuted as {0..7,16..23} / {8..15,24..31}; the permutation is
-// undone for free inside the (already scalar) sink dispatch.
+// rows permuted as {0..7,16..23} / {8..15,24..31}; the in-register
+// transpose (or, for output tails, the lane_row map) undoes it before
+// the sink sees a row. A partial last row tile runs the same body on a
+// zero-padded copy of its codes, with detail::RowBound dropping its
+// rows >= enc.rows.
 //
 // The tile walk is templated over a sink: the store sink writes int16
 // accumulators (classic accumulate), the fused sink runs the stage
@@ -47,26 +50,6 @@ constexpr int kChunk = 256;
 inline int lane_row(int h, int i) {
   return (i & 7) + 8 * (2 * (i >> 3) + h);
 }
-
-/// Classic accumulate: int16 quads / elements land in the int16 output.
-struct StoreSink {
-  std::int16_t* out;
-  std::size_t nout;
-  /// `q` holds outputs o0..o0+3 of row `r` in its low 64 bits and of
-  /// row `r+1` in its high 64 bits.
-  void quad2(std::size_t r, int o0, __m128i q) const {
-    std::int16_t* d = out + r * nout + static_cast<std::size_t>(o0);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(d), q);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(d + nout),
-                     _mm_unpackhi_epi64(q, q));
-  }
-  void one16(std::size_t r, int o, std::int16_t v) const {
-    out[r * nout + static_cast<std::size_t>(o)] = v;
-  }
-  void one32(std::size_t r, int o, std::int32_t v) const {
-    one16(r, o, saturate_acc16(v));
-  }
-};
 
 /// Fused stage handoff: each finished int16 quad dequantizes, rectifies
 /// and requantizes in-register into the next stage's uint8 activation
@@ -115,7 +98,9 @@ struct FusedSink {
 
   /// Requantizes rows r and r+1 (outputs o0..o0+3 each, packed in q's
   /// two 64-bit halves) in one shot: the column scales, sign extension
-  /// and pack chain are shared across the row pair.
+  /// and pack chain are shared across the row pair. kPair = false
+  /// stores row r only.
+  template <bool kPair = true>
   void quad2(std::size_t r, int o0, __m128i q) const {
     const __m128 scales =
         lut->per_column_scale
@@ -145,14 +130,11 @@ struct FusedSink {
     const int b0 = _mm_cvtsi128_si32(p8);
     const int b1 = _mm_extract_epi32(p8, 1);
     std::memcpy(d, &b0, 4);
-    std::memcpy(d + nout, &b1, 4);
+    if constexpr (kPair) std::memcpy(d + nout, &b1, 4);
   }
   void one16(std::size_t r, int o, std::int16_t v) const {
     dst[r * nout + static_cast<std::size_t>(o)] =
         fused_requantize(v, packed_scale(*lut, o), next_scale);
-  }
-  void one32(std::size_t r, int o, std::int32_t v) const {
-    one16(r, o, saturate_acc16(v));
   }
 };
 
@@ -165,16 +147,15 @@ struct FusedSink {
 /// int16 product sum is at most |A| + |B| <= 256, so pmaddubsw's
 /// saturation can never engage and the result is exact.
 inline void accumulate_chunk(const LutBankPacked& lut,
-                             const EncodedBatch& enc, std::size_t n0,
-                             int o0, int ob, int c0, int c_end,
-                             __m256i acc16[][2]) {
+                             const TileCodes& tile, int o0, int ob, int c0,
+                             int c_end, __m256i acc16[][2]) {
   const __m256i ones = _mm256_set1_epi8(1);
   int c = c0;
   for (; c + 1 < c_end; c += 2) {
     const __m256i codes_a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(enc.codebook(c) + n0));
+        reinterpret_cast<const __m256i*>(tile.codebook(c)));
     const __m256i codes_b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(enc.codebook(c + 1) + n0));
+        reinterpret_cast<const __m256i*>(tile.codebook(c + 1)));
     for (int j = 0; j < ob; ++j) {
       const __m256i table_a = _mm256_broadcastsi128_si256(_mm_loadu_si128(
           reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j))));
@@ -195,7 +176,7 @@ inline void accumulate_chunk(const LutBankPacked& lut,
     // sign extension.
     const __m256i zero = _mm256_setzero_si256();
     const __m256i codes = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(enc.codebook(c) + n0));
+        reinterpret_cast<const __m256i*>(tile.codebook(c)));
     for (int j = 0; j < ob; ++j) {
       const __m256i table = _mm256_broadcastsi128_si256(_mm_loadu_si128(
           reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j))));
@@ -210,84 +191,89 @@ inline void accumulate_chunk(const LutBankPacked& lut,
   }
 }
 
+/// Accumulates one row tile [n0, n0 + kRowBlock) across every output
+/// block and hands each finished row to the sink.
 template <class Sink>
-void avx2_impl(const LutBankPacked& lut, const EncodedBatch& enc,
-               std::size_t full, Sink sink) {
+void avx2_tile(const LutBankPacked& lut, const EncodedBatch& enc,
+               std::size_t n0, const Sink& sink) {
+  std::uint8_t block[kChunk * kRowBlock];  // a partial tile's codes
   const int nout = lut.nout;
   const int ncb = lut.ncodebooks;
   alignas(32) std::int16_t lanes[kRowBlock];
-  for (std::size_t n0 = 0; n0 < full; n0 += kRowBlock) {
-    for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
-      const int ob = std::min(kOutBlock, nout - o0);
-      if (ncb <= kChunk) {
-        // Single chunk: int16 partials are the exact int32 totals.
+  const TileCodes first =
+      tile_codes<kRowBlock>(enc, n0, 0, std::min(ncb, kChunk), block);
+  for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
+    const int ob = std::min(kOutBlock, nout - o0);
+    if (ncb <= kChunk) {
+      // Single chunk: int16 partials are the exact int32 totals.
+      __m256i acc16[kOutBlock][2];
+      for (int j = 0; j < ob; ++j)
+        acc16[j][0] = acc16[j][1] = _mm256_setzero_si256();
+      accumulate_chunk(lut, first, o0, ob, 0, ncb, acc16);
+      if (ob == kOutBlock) {
+        // Full 4-output block: transpose the accumulators in-register
+        // to per-row (o0..o0+3) quads and hand each to the sink as one
+        // 64-bit lane — the scalar de-permute loop this replaces was a
+        // material fraction of the kernel at large nout.
+        for (int h = 0; h < 2; ++h) {
+          // acc16[j][h] int16 lanes hold rows 8h..8h+7 (lane 0) and
+          // 8h+16..8h+23 (lane 1); two unpack stages give, per
+          // register, two consecutive rows' output quads per lane.
+          const std::size_t base = n0 + 8 * static_cast<std::size_t>(h);
+          const __m256i t01l =
+              _mm256_unpacklo_epi16(acc16[0][h], acc16[1][h]);
+          const __m256i t01h =
+              _mm256_unpackhi_epi16(acc16[0][h], acc16[1][h]);
+          const __m256i t23l =
+              _mm256_unpacklo_epi16(acc16[2][h], acc16[3][h]);
+          const __m256i t23h =
+              _mm256_unpackhi_epi16(acc16[2][h], acc16[3][h]);
+          const __m256i quads[4] = {_mm256_unpacklo_epi32(t01l, t23l),
+                                    _mm256_unpackhi_epi32(t01l, t23l),
+                                    _mm256_unpacklo_epi32(t01h, t23h),
+                                    _mm256_unpackhi_epi32(t01h, t23h)};
+          for (int g = 0; g < 4; ++g) {
+            const std::size_t r = base + 2 * static_cast<std::size_t>(g);
+            sink.quad2(r, o0, _mm256_castsi256_si128(quads[g]));
+            sink.quad2(r + 16, o0,
+                       _mm256_extracti128_si256(quads[g], 1));
+          }
+        }
+      } else {
+        for (int j = 0; j < ob; ++j)
+          for (int h = 0; h < 2; ++h) {
+            _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
+                               acc16[j][h]);
+            for (int i = 0; i < 16; ++i)
+              sink.one16(n0 + static_cast<std::size_t>(lane_row(h, i)),
+                         o0 + j, lanes[i]);
+          }
+      }
+    } else {
+      std::int32_t acc32[kOutBlock][kRowBlock] = {};
+      for (int c0 = 0; c0 < ncb; c0 += kChunk) {
         __m256i acc16[kOutBlock][2];
         for (int j = 0; j < ob; ++j)
           acc16[j][0] = acc16[j][1] = _mm256_setzero_si256();
-        accumulate_chunk(lut, enc, n0, o0, ob, 0, ncb, acc16);
-        if (ob == kOutBlock) {
-          // Full 4-output block: transpose the accumulators in-register
-          // to per-row (o0..o0+3) quads and hand each to the sink as one
-          // 64-bit lane — the scalar de-permute loop this replaces was a
-          // material fraction of the kernel at large nout.
-          for (int h = 0; h < 2; ++h) {
-            // acc16[j][h] int16 lanes hold rows 8h..8h+7 (lane 0) and
-            // 8h+16..8h+23 (lane 1); two unpack stages give, per
-            // register, two consecutive rows' output quads per lane.
-            const std::size_t base = n0 + 8 * static_cast<std::size_t>(h);
-            const __m256i t01l =
-                _mm256_unpacklo_epi16(acc16[0][h], acc16[1][h]);
-            const __m256i t01h =
-                _mm256_unpackhi_epi16(acc16[0][h], acc16[1][h]);
-            const __m256i t23l =
-                _mm256_unpacklo_epi16(acc16[2][h], acc16[3][h]);
-            const __m256i t23h =
-                _mm256_unpackhi_epi16(acc16[2][h], acc16[3][h]);
-            const __m256i quads[4] = {_mm256_unpacklo_epi32(t01l, t23l),
-                                      _mm256_unpackhi_epi32(t01l, t23l),
-                                      _mm256_unpacklo_epi32(t01h, t23h),
-                                      _mm256_unpackhi_epi32(t01h, t23h)};
-            for (int g = 0; g < 4; ++g) {
-              const std::size_t r = base + 2 * static_cast<std::size_t>(g);
-              sink.quad2(r, o0, _mm256_castsi256_si128(quads[g]));
-              sink.quad2(r + 16, o0,
-                         _mm256_extracti128_si256(quads[g], 1));
-            }
-          }
-        } else {
-          for (int j = 0; j < ob; ++j)
-            for (int h = 0; h < 2; ++h) {
-              _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
-                                 acc16[j][h]);
-              for (int i = 0; i < 16; ++i)
-                sink.one16(n0 + static_cast<std::size_t>(lane_row(h, i)),
-                           o0 + j, lanes[i]);
-            }
-        }
-      } else {
-        std::int32_t acc32[kOutBlock][kRowBlock] = {};
-        for (int c0 = 0; c0 < ncb; c0 += kChunk) {
-          __m256i acc16[kOutBlock][2];
-          for (int j = 0; j < ob; ++j)
-            acc16[j][0] = acc16[j][1] = _mm256_setzero_si256();
-          accumulate_chunk(lut, enc, n0, o0, ob, c0,
-                           std::min(ncb, c0 + kChunk), acc16);
-          // Widen lane-for-lane (vectorizable); the row permutation is
-          // resolved by the final sink dispatch below.
-          for (int j = 0; j < ob; ++j)
-            for (int h = 0; h < 2; ++h) {
-              _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
-                                 acc16[j][h]);
-              std::int32_t* dst32 = acc32[j] + h * 16;
-              for (int i = 0; i < 16; ++i) dst32[i] += lanes[i];
-            }
-        }
+        const int c_end = std::min(ncb, c0 + kChunk);
+        accumulate_chunk(
+            lut, tile_codes<kRowBlock>(enc, n0, c0, c_end, block), o0, ob,
+            c0, c_end, acc16);
+        // Widen lane-for-lane (vectorizable); the row permutation is
+        // resolved by the final sink dispatch below.
         for (int j = 0; j < ob; ++j)
-          for (int h = 0; h < 2; ++h)
-            for (int i = 0; i < 16; ++i)
-              sink.one32(n0 + static_cast<std::size_t>(lane_row(h, i)),
-                         o0 + j, acc32[j][h * 16 + i]);
+          for (int h = 0; h < 2; ++h) {
+            _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
+                               acc16[j][h]);
+            std::int32_t* dst32 = acc32[j] + h * 16;
+            for (int i = 0; i < 16; ++i) dst32[i] += lanes[i];
+          }
       }
+      for (int j = 0; j < ob; ++j)
+        for (int h = 0; h < 2; ++h)
+          for (int i = 0; i < 16; ++i)
+            sink.one16(n0 + static_cast<std::size_t>(lane_row(h, i)),
+                       o0 + j, saturate_acc16(acc32[j][h * 16 + i]));
     }
   }
 }
@@ -298,19 +284,18 @@ bool avx2_compiled_in() { return true; }
 
 void apply_packed_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                        std::int16_t* out) {
-  const std::size_t full = enc.rows - enc.rows % kRowBlock;
-  avx2_impl(lut, enc, full,
-            StoreSink{out, static_cast<std::size_t>(lut.nout)});
-  apply_packed_scalar_rows(lut, enc, full, out);
+  for_each_row_tile<kRowBlock>(
+      enc.rows, StoreSink{out, static_cast<std::size_t>(lut.nout)},
+      [&](std::size_t n0, const auto& s) { avx2_tile(lut, enc, n0, s); });
 }
 
 void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                       const FusedEpilogue& ep, std::uint8_t* dst) {
-  const std::size_t full = enc.rows - enc.rows % kRowBlock;
-  avx2_impl(lut, enc, full,
-            FusedSink{&lut, dst, ep.next_scale, 1.0f / ep.next_scale,
-                      static_cast<std::size_t>(lut.nout)});
-  apply_fused_scalar_rows(lut, enc, ep, full, dst);
+  for_each_row_tile<kRowBlock>(
+      enc.rows,
+      FusedSink{&lut, dst, ep.next_scale, 1.0f / ep.next_scale,
+                static_cast<std::size_t>(lut.nout)},
+      [&](std::size_t n0, const auto& s) { avx2_tile(lut, enc, n0, s); });
 }
 
 #else  // !defined(__AVX2__)

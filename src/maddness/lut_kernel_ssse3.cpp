@@ -2,7 +2,9 @@
 // tier (see lut_kernel_avx2.cpp for the scheme). One pshufb gathers 16
 // rows; sign extension uses the SSE2 unpack+arithmetic-shift idiom since
 // pmovsxbw is SSE4.1. Same chunked int16 -> int32 -> saturate-once
-// contract, bit-identical to the reference kernel.
+// contract, bit-identical to the reference kernel. A partial last row
+// tile runs the same vector body on a zero-padded copy of its codes,
+// with detail::RowBound dropping rows >= enc.rows.
 //
 // The tile walk is templated over a sink: the store sink writes int16
 // accumulators (classic accumulate), the fused sink runs the stage
@@ -27,26 +29,6 @@ namespace {
 constexpr std::size_t kRowBlock = 16;
 constexpr int kOutBlock = 4;
 constexpr int kChunk = 256;
-
-/// Classic accumulate: int16 quads / elements land in the int16 output.
-struct StoreSink {
-  std::int16_t* out;
-  std::size_t nout;
-  /// `q` holds outputs o0..o0+3 of row `r` in its low 64 bits and of
-  /// row `r+1` in its high 64 bits.
-  void quad2(std::size_t r, int o0, __m128i q) const {
-    std::int16_t* d = out + r * nout + static_cast<std::size_t>(o0);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(d), q);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(d + nout),
-                     _mm_unpackhi_epi64(q, q));
-  }
-  void one16(std::size_t r, int o, std::int16_t v) const {
-    out[r * nout + static_cast<std::size_t>(o)] = v;
-  }
-  void one32(std::size_t r, int o, std::int32_t v) const {
-    one16(r, o, saturate_acc16(v));
-  }
-};
 
 /// Fused stage handoff: each finished int16 quad dequantizes, rectifies
 /// and requantizes in-register into the next stage's uint8 activation
@@ -95,7 +77,9 @@ struct FusedSink {
 
   /// Requantizes rows r and r+1 (outputs o0..o0+3 each, packed in q's
   /// two 64-bit halves) in one shot: the column scales, sign extension
-  /// and pack chain are shared across the row pair.
+  /// and pack chain are shared across the row pair. kPair = false
+  /// stores row r only.
+  template <bool kPair = true>
   void quad2(std::size_t r, int o0, __m128i q) const {
     const __m128 scales =
         lut->per_column_scale
@@ -111,132 +95,134 @@ struct FusedSink {
     const int b0 = _mm_cvtsi128_si32(p8);
     const int b1 = _mm_cvtsi128_si32(_mm_srli_si128(p8, 4));
     std::memcpy(d, &b0, 4);
-    std::memcpy(d + nout, &b1, 4);
+    if constexpr (kPair) std::memcpy(d + nout, &b1, 4);
   }
   void one16(std::size_t r, int o, std::int16_t v) const {
     dst[r * nout + static_cast<std::size_t>(o)] =
         fused_requantize(v, packed_scale(*lut, o), next_scale);
   }
-  void one32(std::size_t r, int o, std::int32_t v) const {
-    one16(r, o, saturate_acc16(v));
-  }
 };
 
+/// Accumulates one row tile [n0, n0 + kRowBlock) across every output
+/// block and hands each finished row to the sink.
 template <class Sink>
-void ssse3_impl(const LutBankPacked& lut, const EncodedBatch& enc,
-                std::size_t full, Sink sink) {
+void ssse3_tile(const LutBankPacked& lut, const EncodedBatch& enc,
+                std::size_t n0, const Sink& sink) {
+  std::uint8_t block[kChunk * kRowBlock];  // a partial tile's codes
   const int nout = lut.nout;
   const int ncb = lut.ncodebooks;
   alignas(16) std::int16_t lanes[kRowBlock];
   const __m128i zero = _mm_setzero_si128();
-  for (std::size_t n0 = 0; n0 < full; n0 += kRowBlock) {
-    for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
-      const int ob = std::min(kOutBlock, nout - o0);
-      const auto accumulate_chunk = [&](int c0, int c_end,
-                                        __m128i acc16[][2]) {
-        // Codebook pairs: interleave the two gathered vectors and let
-        // pmaddubsw against all-ones sum each (A_i, B_i) byte pair into
-        // int16 — exact, since |A| + |B| <= 256 never saturates (see
-        // the AVX2 tier for the full argument).
-        const __m128i ones = _mm_set1_epi8(1);
-        int c = c0;
-        for (; c + 1 < c_end; c += 2) {
-          const __m128i codes_a = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(enc.codebook(c) + n0));
-          const __m128i codes_b = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(enc.codebook(c + 1) + n0));
-          for (int j = 0; j < ob; ++j) {
-            const __m128i table_a = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j)));
-            const __m128i table_b = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(
-                    lut.table_ptr(c + 1, o0 + j)));
-            const __m128i va = _mm_shuffle_epi8(table_a, codes_a);
-            const __m128i vb = _mm_shuffle_epi8(table_b, codes_b);
-            acc16[j][0] = _mm_add_epi16(
-                acc16[j][0],
-                _mm_maddubs_epi16(ones, _mm_unpacklo_epi8(va, vb)));
-            acc16[j][1] = _mm_add_epi16(
-                acc16[j][1],
-                _mm_maddubs_epi16(ones, _mm_unpackhi_epi8(va, vb)));
-          }
+  const TileCodes first =
+      tile_codes<kRowBlock>(enc, n0, 0, std::min(ncb, kChunk), block);
+  for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
+    const int ob = std::min(kOutBlock, nout - o0);
+    const auto accumulate_chunk = [&](const TileCodes& tile, int c0,
+                                      int c_end, __m128i acc16[][2]) {
+      // Codebook pairs: interleave the two gathered vectors and let
+      // pmaddubsw against all-ones sum each (A_i, B_i) byte pair into
+      // int16 — exact, since |A| + |B| <= 256 never saturates (see
+      // the AVX2 tier for the full argument).
+      const __m128i ones = _mm_set1_epi8(1);
+      int c = c0;
+      for (; c + 1 < c_end; c += 2) {
+        const __m128i codes_a = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(tile.codebook(c)));
+        const __m128i codes_b = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(tile.codebook(c + 1)));
+        for (int j = 0; j < ob; ++j) {
+          const __m128i table_a = _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j)));
+          const __m128i table_b = _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(
+                  lut.table_ptr(c + 1, o0 + j)));
+          const __m128i va = _mm_shuffle_epi8(table_a, codes_a);
+          const __m128i vb = _mm_shuffle_epi8(table_b, codes_b);
+          acc16[j][0] = _mm_add_epi16(
+              acc16[j][0],
+              _mm_maddubs_epi16(ones, _mm_unpacklo_epi8(va, vb)));
+          acc16[j][1] = _mm_add_epi16(
+              acc16[j][1],
+              _mm_maddubs_epi16(ones, _mm_unpackhi_epi8(va, vb)));
         }
-        if (c < c_end) {
-          const __m128i codes = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(enc.codebook(c) + n0));
-          for (int j = 0; j < ob; ++j) {
-            const __m128i table = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j)));
-            const __m128i v8 = _mm_shuffle_epi8(table, codes);
-            // unpack(zero, v) places v's bytes in each word's high half;
-            // >>a 8 sign-extends, keeping lane order 0..7 / 8..15.
-            acc16[j][0] = _mm_add_epi16(
-                acc16[j][0],
-                _mm_srai_epi16(_mm_unpacklo_epi8(zero, v8), 8));
-            acc16[j][1] = _mm_add_epi16(
-                acc16[j][1],
-                _mm_srai_epi16(_mm_unpackhi_epi8(zero, v8), 8));
-          }
+      }
+      if (c < c_end) {
+        const __m128i codes = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(tile.codebook(c)));
+        for (int j = 0; j < ob; ++j) {
+          const __m128i table = _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j)));
+          const __m128i v8 = _mm_shuffle_epi8(table, codes);
+          // unpack(zero, v) places v's bytes in each word's high half;
+          // >>a 8 sign-extends, keeping lane order 0..7 / 8..15.
+          acc16[j][0] = _mm_add_epi16(
+              acc16[j][0],
+              _mm_srai_epi16(_mm_unpacklo_epi8(zero, v8), 8));
+          acc16[j][1] = _mm_add_epi16(
+              acc16[j][1],
+              _mm_srai_epi16(_mm_unpackhi_epi8(zero, v8), 8));
         }
-      };
-      if (ncb <= kChunk) {
-        // One chunk cannot wrap int16: the accumulators already hold the
-        // exact int32 totals, clamped-by-construction.
-        __m128i acc16[kOutBlock][2];
-        for (int j = 0; j < ob; ++j) acc16[j][0] = acc16[j][1] = zero;
-        accumulate_chunk(0, ncb, acc16);
-        if (ob == kOutBlock) {
-          // Transpose to per-row output quads and hand each to the sink
-          // as one 64-bit lane (see the AVX2 tier) — acc16[j][h] holds
-          // rows 8h..8h+7 in order, so the unpacked quads come out
-          // row-sequential.
-          for (int h = 0; h < 2; ++h) {
-            const std::size_t base = n0 + 8 * static_cast<std::size_t>(h);
-            const __m128i t01l =
-                _mm_unpacklo_epi16(acc16[0][h], acc16[1][h]);
-            const __m128i t01h =
-                _mm_unpackhi_epi16(acc16[0][h], acc16[1][h]);
-            const __m128i t23l =
-                _mm_unpacklo_epi16(acc16[2][h], acc16[3][h]);
-            const __m128i t23h =
-                _mm_unpackhi_epi16(acc16[2][h], acc16[3][h]);
-            const __m128i quads[4] = {_mm_unpacklo_epi32(t01l, t23l),
-                                      _mm_unpackhi_epi32(t01l, t23l),
-                                      _mm_unpacklo_epi32(t01h, t23h),
-                                      _mm_unpackhi_epi32(t01h, t23h)};
-            for (int g = 0; g < 4; ++g)
-              sink.quad2(base + 2 * static_cast<std::size_t>(g), o0,
-                         quads[g]);
-          }
-        } else {
-          for (int j = 0; j < ob; ++j)
-            for (int h = 0; h < 2; ++h) {
-              _mm_store_si128(reinterpret_cast<__m128i*>(lanes),
-                              acc16[j][h]);
-              for (int i = 0; i < 8; ++i)
-                sink.one16(n0 + static_cast<std::size_t>(h) * 8 +
-                               static_cast<std::size_t>(i),
-                           o0 + j, lanes[i]);
-            }
+      }
+    };
+    if (ncb <= kChunk) {
+      // One chunk cannot wrap int16: the accumulators already hold the
+      // exact int32 totals, clamped-by-construction.
+      __m128i acc16[kOutBlock][2];
+      for (int j = 0; j < ob; ++j) acc16[j][0] = acc16[j][1] = zero;
+      accumulate_chunk(first, 0, ncb, acc16);
+      if (ob == kOutBlock) {
+        // Transpose to per-row output quads and hand each to the sink
+        // as one 64-bit lane (see the AVX2 tier) — acc16[j][h] holds
+        // rows 8h..8h+7 in order, so the unpacked quads come out
+        // row-sequential.
+        for (int h = 0; h < 2; ++h) {
+          const std::size_t base = n0 + 8 * static_cast<std::size_t>(h);
+          const __m128i t01l =
+              _mm_unpacklo_epi16(acc16[0][h], acc16[1][h]);
+          const __m128i t01h =
+              _mm_unpackhi_epi16(acc16[0][h], acc16[1][h]);
+          const __m128i t23l =
+              _mm_unpacklo_epi16(acc16[2][h], acc16[3][h]);
+          const __m128i t23h =
+              _mm_unpackhi_epi16(acc16[2][h], acc16[3][h]);
+          const __m128i quads[4] = {_mm_unpacklo_epi32(t01l, t23l),
+                                    _mm_unpackhi_epi32(t01l, t23l),
+                                    _mm_unpacklo_epi32(t01h, t23h),
+                                    _mm_unpackhi_epi32(t01h, t23h)};
+          for (int g = 0; g < 4; ++g)
+            sink.quad2(base + 2 * static_cast<std::size_t>(g), o0,
+                       quads[g]);
         }
       } else {
-        std::int32_t acc32[kOutBlock][kRowBlock] = {};
-        for (int c0 = 0; c0 < ncb; c0 += kChunk) {
-          __m128i acc16[kOutBlock][2];
-          for (int j = 0; j < ob; ++j) acc16[j][0] = acc16[j][1] = zero;
-          accumulate_chunk(c0, std::min(ncb, c0 + kChunk), acc16);
-          for (int j = 0; j < ob; ++j)
-            for (int h = 0; h < 2; ++h) {
-              _mm_store_si128(reinterpret_cast<__m128i*>(lanes),
-                              acc16[j][h]);
-              std::int32_t* dst32 = acc32[j] + h * 8;
-              for (int i = 0; i < 8; ++i) dst32[i] += lanes[i];
-            }
-        }
         for (int j = 0; j < ob; ++j)
-          for (std::size_t i = 0; i < kRowBlock; ++i)
-            sink.one32(n0 + i, o0 + j, acc32[j][i]);
+          for (int h = 0; h < 2; ++h) {
+            _mm_store_si128(reinterpret_cast<__m128i*>(lanes),
+                            acc16[j][h]);
+            for (int i = 0; i < 8; ++i)
+              sink.one16(n0 + static_cast<std::size_t>(h) * 8 +
+                             static_cast<std::size_t>(i),
+                         o0 + j, lanes[i]);
+          }
       }
+    } else {
+      std::int32_t acc32[kOutBlock][kRowBlock] = {};
+      for (int c0 = 0; c0 < ncb; c0 += kChunk) {
+        __m128i acc16[kOutBlock][2];
+        for (int j = 0; j < ob; ++j) acc16[j][0] = acc16[j][1] = zero;
+        const int c_end = std::min(ncb, c0 + kChunk);
+        accumulate_chunk(tile_codes<kRowBlock>(enc, n0, c0, c_end, block),
+                         c0, c_end, acc16);
+        for (int j = 0; j < ob; ++j)
+          for (int h = 0; h < 2; ++h) {
+            _mm_store_si128(reinterpret_cast<__m128i*>(lanes),
+                            acc16[j][h]);
+            std::int32_t* dst32 = acc32[j] + h * 8;
+            for (int i = 0; i < 8; ++i) dst32[i] += lanes[i];
+          }
+      }
+      for (int j = 0; j < ob; ++j)
+        for (std::size_t i = 0; i < kRowBlock; ++i)
+          sink.one16(n0 + i, o0 + j, saturate_acc16(acc32[j][i]));
     }
   }
 }
@@ -247,19 +233,18 @@ bool ssse3_compiled_in() { return true; }
 
 void apply_packed_ssse3(const LutBankPacked& lut, const EncodedBatch& enc,
                         std::int16_t* out) {
-  const std::size_t full = enc.rows - enc.rows % kRowBlock;
-  ssse3_impl(lut, enc, full,
-             StoreSink{out, static_cast<std::size_t>(lut.nout)});
-  apply_packed_scalar_rows(lut, enc, full, out);
+  for_each_row_tile<kRowBlock>(
+      enc.rows, StoreSink{out, static_cast<std::size_t>(lut.nout)},
+      [&](std::size_t n0, const auto& s) { ssse3_tile(lut, enc, n0, s); });
 }
 
 void apply_fused_ssse3(const LutBankPacked& lut, const EncodedBatch& enc,
                        const FusedEpilogue& ep, std::uint8_t* dst) {
-  const std::size_t full = enc.rows - enc.rows % kRowBlock;
-  ssse3_impl(lut, enc, full,
-             FusedSink{&lut, dst, ep.next_scale, 1.0f / ep.next_scale,
-                       static_cast<std::size_t>(lut.nout)});
-  apply_fused_scalar_rows(lut, enc, ep, full, dst);
+  for_each_row_tile<kRowBlock>(
+      enc.rows,
+      FusedSink{&lut, dst, ep.next_scale, 1.0f / ep.next_scale,
+                static_cast<std::size_t>(lut.nout)},
+      [&](std::size_t n0, const auto& s) { ssse3_tile(lut, enc, n0, s); });
 }
 
 #else  // !defined(__SSSE3__)

@@ -158,10 +158,12 @@ TEST(EncoderBank, SingleCodebookBankIsNotWindowed) {
 TEST(EncoderKernel, AllTiersBitExactOnRandomConfigMatrix) {
   Rng rng(4005);
   // Row counts bracket the 16-row (SSSE3) and 32-row (AVX2) blocks on
-  // both sides; ncodebooks = 1 exercises the non-windowed staged path
+  // both sides, including the partial last block of the served 48-64
+  // row batches; ncodebooks = 1 exercises the non-windowed staged path
   // in every tier.
   const int ncodebooks[] = {1, 2, 3, 5, 16, 32};
-  const std::size_t row_counts[] = {1, 7, 15, 16, 17, 31, 32, 33, 64, 100};
+  const std::size_t row_counts[] = {1,  7,  15, 16, 17, 31, 32, 33,
+                                   47, 48, 49, 63, 64, 65, 100};
   for (const int ncb : ncodebooks) {
     Config cfg;
     cfg.ncodebooks = ncb;

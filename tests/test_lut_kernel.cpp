@@ -6,6 +6,7 @@
 // all-±127 banks that overflow int16.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <vector>
 
@@ -110,11 +111,16 @@ TEST(LutKernel, AllTiersBitExactOnRandomConfigMatrix) {
   // Dimensions chosen to stress tails: rows not multiples of the 16/32
   // row blocks, nout not multiples of the output block (including < 1
   // block), codebook counts around the SIMD chunk boundaries.
-  const int cases[][3] = {
+  std::vector<std::array<int, 3>> cases = {
       // {ncodebooks, nout, rows}
       {1, 1, 1},    {1, 5, 7},     {3, 16, 31},  {7, 37, 33},
       {16, 64, 64}, {16, 130, 50}, {32, 128, 96}, {40, 23, 100},
+      {300, 7, 45},  // multi-chunk int32 widening with a partial tile
   };
+  // The serving shape at every row count up to two AVX2 tiles plus one:
+  // each residue of the 16- and 32-row tiles, partial last tile included.
+  for (int rows = 1; rows <= 65; ++rows) cases.push_back({32, 64, rows});
+  const FusedEpilogue ep{3.0f};
   for (const auto& cs : cases) {
     const int ncb = cs[0], nout = cs[1];
     const std::size_t rows = static_cast<std::size_t>(cs[2]);
@@ -123,11 +129,48 @@ TEST(LutKernel, AllTiersBitExactOnRandomConfigMatrix) {
     const auto ref = apply_lut_reference(bank, codes, rows);
     const LutBankPacked packed = pack_lut(bank);
     const EncodedBatch enc = make_encoded_batch(codes, rows, ncb);
+    std::vector<std::uint8_t> fused_ref(ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      fused_ref[i] = maddness::detail::fused_requantize(
+          ref[i],
+          maddness::detail::packed_scale(packed, static_cast<int>(i % nout)),
+          ep.next_scale);
     for (const KernelTier tier : tiers) {
       const auto got = apply_lut_packed(packed, enc, tier);
       ASSERT_EQ(got, ref) << "tier=" << kernel_tier_name(tier)
                           << " ncb=" << ncb << " nout=" << nout
                           << " rows=" << rows;
+      std::vector<std::uint8_t> fused(ref.size(), 0xAB);
+      apply_lut_fused(packed, enc, ep, tier, fused.data());
+      ASSERT_EQ(fused, fused_ref) << "fused tier=" << kernel_tier_name(tier)
+                                  << " ncb=" << ncb << " nout=" << nout
+                                  << " rows=" << rows;
+    }
+  }
+}
+
+TEST(LutKernel, FusedOutputNeverWritesPastTheBatch) {
+  // apply_lut_fused writes through a raw caller pointer, so a partial
+  // row tile storing its padded lanes would land in the caller's buffer
+  // past rows x nout — memory ASan sees as valid. Canary bytes after
+  // the batch must survive every row count on every tier.
+  Rng rng(2029);
+  constexpr std::size_t kCanary = 64;
+  for (const int nout : {64, 37}) {
+    const LutBankPacked packed = pack_lut(random_bank(rng, 32, 4, nout));
+    for (std::size_t rows = 1; rows <= 65; ++rows) {
+      const EncodedBatch enc =
+          make_encoded_batch(random_codes(rng, rows, 32, 16), rows, 32);
+      const std::size_t n = rows * static_cast<std::size_t>(nout);
+      for (const KernelTier tier : available_tiers()) {
+        std::vector<std::uint8_t> buf(n + kCanary, 0xA5);
+        apply_lut_fused(packed, enc, FusedEpilogue{3.0f}, tier, buf.data());
+        for (std::size_t i = n; i < buf.size(); ++i)
+          ASSERT_EQ(buf[i], 0xA5)
+              << "tier=" << kernel_tier_name(tier) << " nout=" << nout
+              << " rows=" << rows << " wrote byte " << i - n
+              << " past the batch";
+      }
     }
   }
 }
