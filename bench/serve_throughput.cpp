@@ -23,14 +23,14 @@
 // (workers, batch) cell served single-model vs two-model interleaved
 // (clients alternate between two identically-shaped registered models
 // request by request). The multi_model.overhead_frac field is the
-// fractional throughput cost of multi-model dispatch — the v2 API's
-// acceptance gate is <= 2%.
+// fractional throughput cost of multi-model dispatch. Its budget is
+// <= 2%, which no CI gate enforces yet (BENCH_serve.json records it).
 //
 // A third cell is the trace-overhead guard: when span tracing is
 // compiled in (SSMA_TRACE=ON), the dispatch cell is re-run with the
 // collector enabled vs disabled and the fractional throughput cost is
-// recorded as telemetry.trace_overhead_frac — the observability
-// acceptance gate is <= 3% enabled, and exactly 0 when compiled out.
+// recorded as telemetry.trace_overhead_frac, exactly 0 when compiled
+// out. Its budget is <= 3% enabled, which no CI gate enforces yet.
 // With --trace-out=PATH the bench also serves a 2-stage pipeline model
 // under tracing and writes the Chrome trace-event JSON (load it at
 // ui.perfetto.dev) so every artifact run leaves a sample span tree.

@@ -105,7 +105,8 @@ std::string pipeline_blob(const std::vector<const maddness::Amm*>& stages);
 
 class ModelRegistry {
  public:
-  /// The name the v1 single-model API maps onto.
+  /// The name v1 on-disk state restores under: a v1 checkpoint's single
+  /// operator and a v1-era journal record's model-less request.
   static constexpr const char* kDefaultModel = "default";
 
   ModelRegistry() = default;

@@ -23,11 +23,6 @@
 #include "serve/recovery/recovery.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
-
-// These suites deliberately keep exercising the deprecated v1
-// one-model constructor — it is the compatibility shim under test.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 #include "util/rng.hpp"
 
 using namespace ssma;
@@ -331,9 +326,11 @@ TEST(EncoderKernel, AmmEncodePathsMatchReferenceWalk) {
   const auto q = quantize_activations(train, amm.activation_scale());
   // Row-major encode vs the scalar reference.
   EXPECT_EQ(amm.encode(q), encode_all(cfg, amm.trees(), q));
-  // Codebook-major cache vs both scalar references.
+  // Codebook-major cache vs the transposed reference walk.
   const EncodedBatch enc = amm.encode_batch(q);
-  EXPECT_EQ(enc.codes, encode_all_codebook_major(cfg, amm.trees(), q));
+  EXPECT_EQ(enc.codes, make_encoded_batch(encode_all(cfg, amm.trees(), q),
+                                          q.rows, cfg.ncodebooks)
+                           .codes);
   EXPECT_EQ(enc.codes, reference_codes(cfg, amm.trees(), q));
 }
 
@@ -446,10 +443,10 @@ TEST(EncoderKernel, ServeJournalReplayStaysBitExactWithNewEncoder) {
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.checkpoint_every = 6;
     opts.recovery.supervise = false;
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(default_registry(f.amm), opts);
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(f.codes_for(id), 1));
+      futs.push_back(server.submit("default", f.codes_for(id), 1));
     server.shutdown();
     for (auto& fut : futs) {
       try {

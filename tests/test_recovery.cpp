@@ -34,11 +34,6 @@
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
 
-// These suites deliberately keep exercising the deprecated v1
-// one-model constructor — it is the compatibility shim under test.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-
 namespace ssma::serve {
 namespace {
 
@@ -349,12 +344,12 @@ TEST(Recovery, CrashAtEveryStageSupervisedIsBitExact) {
     opts.recovery.journal = &journal;
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.supervise = true;
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(default_registry(f.amm), opts);
 
     constexpr std::size_t kRequests = 48;
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(f.codes_for(id), 1));
+      futs.push_back(server.submit("default", f.codes_for(id), 1));
     for (std::size_t id = 0; id < futs.size(); ++id)
       EXPECT_EQ(futs[id].get().outputs, f.expected(id % f.pool.rows, 1))
           << "request " << id
@@ -420,11 +415,11 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.checkpoint_every = 8;
     opts.recovery.supervise = false;  // a crash is a crash
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(default_registry(f.amm), opts);
 
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(payloads[id], 1));
+      futs.push_back(server.submit("default", payloads[id], 1));
     server.shutdown();  // the "process" dies: unserved futures fail
 
     for (std::size_t id = 0; id < futs.size(); ++id) {
@@ -469,7 +464,7 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
         << "replayed request " << rec.id << " diverged";
   }
   // New admissions continue past the recovered watermark.
-  auto fresh = server->submit(f.codes_for(0), 1);
+  auto fresh = server->submit("default", f.codes_for(0), 1);
   EXPECT_EQ(fresh.get().request_id, kRequests);
   server->shutdown();
 
@@ -505,11 +500,11 @@ TEST(Recovery, UnsupervisedCrashFailsFuturesLoudly) {
   opts.batcher.max_batch_tokens = 1;
   opts.batcher.max_wait = std::chrono::microseconds(0);
   opts.recovery.fault = &fault;
-  InferenceServer server(f.amm, opts);
+  InferenceServer server(default_registry(f.amm), opts);
 
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < 4; ++id)
-    futs.push_back(server.submit(f.codes_for(id), 1));
+    futs.push_back(server.submit("default", f.codes_for(id), 1));
   server.shutdown();
 
   std::size_t failed = 0;
@@ -532,11 +527,11 @@ TEST(Recovery, CheckpointCadenceWritesVersions) {
   opts.num_workers = 2;
   opts.recovery.checkpoints = &ckpts;
   opts.recovery.checkpoint_every = 4;
-  InferenceServer server(f.amm, opts);
+  InferenceServer server(default_registry(f.amm), opts);
 
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < 12; ++id)
-    futs.push_back(server.submit(f.codes_for(id), 1));
+    futs.push_back(server.submit("default", f.codes_for(id), 1));
   for (auto& fut : futs) fut.get();
   server.shutdown();
 
@@ -630,6 +625,62 @@ TEST(Recovery, GoldenCheckpointFormatIsStable) {
   CheckpointManager::write_file(again, golden::kVersion, st);
   EXPECT_EQ(slurp(again), slurp(golden::checkpoint_path()))
       << "checkpoint re-encode changed bytes: format drift";
+}
+
+// The v1 on-disk path through a live server: the golden v1 checkpoint
+// (one anonymous operator) plus a journal of model-less accept records
+// restore as "default" version 1 and replay bit-exactly.
+TEST(Recovery, V1CheckpointAndJournalRestoreAsDefaultModel) {
+  const ServeFixture f = golden::fixture();
+  TmpDir dir("v1restore");
+  std::filesystem::copy_file(golden::checkpoint_path(),
+                             dir.file("checkpoint-000001.ssck"));
+  const std::string journal_path = dir.file("requests.jnl");
+  constexpr std::uint64_t kRecords = 3;
+  {
+    RequestJournal journal(journal_path);
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      const std::size_t rows = static_cast<std::size_t>(i) + 1;
+      const std::vector<std::uint8_t> codes(
+          f.pool.row(i), f.pool.row(i) + rows * f.pool.cols);
+      journal.append_accepted(golden::kNextId + i, rows, codes);
+    }
+  }
+
+  CheckpointManager ckpts(dir.str());
+  const auto rs = recovery::recover_state(ckpts, journal_path);
+  ASSERT_TRUE(rs.has_checkpoint());
+  ASSERT_TRUE(rs.checkpoint.is_v1());
+  ASSERT_EQ(rs.journal.unacknowledged.size(), kRecords);
+  EXPECT_EQ(rs.next_request_id, golden::kNextId + kRecords);
+
+  RequestJournal journal(journal_path);
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.recovery.journal = &journal;
+  opts.recovery.checkpoints = &ckpts;
+  auto server = InferenceServer::restore(rs, opts);
+  EXPECT_EQ(server->registry().latest_version("default"), 1u);
+
+  auto futs = server->replay(rs.journal.unacknowledged);
+  ASSERT_EQ(futs.size(), kRecords);
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const AcceptedRecord& rec = rs.journal.unacknowledged[i];
+    EXPECT_TRUE(rec.model.empty()) << "not a v1-era record";
+    const InferenceResult res = futs[i].get();
+    EXPECT_EQ(res.request_id, rec.id);
+    EXPECT_EQ(res.model, "default");
+    EXPECT_EQ(res.model_version, 1u);
+    EXPECT_EQ(res.outputs, f.expected_for(rec.codes, rec.rows))
+        << "replayed v1 request " << rec.id << " diverged";
+  }
+  auto fresh = server->submit("default", f.codes_for(0), 1);
+  const InferenceResult res = fresh.get();
+  EXPECT_GE(res.request_id, rs.next_request_id);
+  EXPECT_EQ(res.outputs, f.expected(0, 1));
+  server->shutdown();
+
+  EXPECT_TRUE(RequestJournal::read(journal_path).unacknowledged.empty());
 }
 
 // ---------------------------------------- golden v2 (registry) record
