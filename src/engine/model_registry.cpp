@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "maddness/framing.hpp"
@@ -32,16 +32,16 @@ void check_stage_chain(const std::vector<maddness::Amm>& stages) {
 
 std::string pipeline_blob(const std::vector<const maddness::Amm*>& stages) {
   SSMA_CHECK_MSG(!stages.empty(), "a pipeline needs at least one stage");
-  std::ostringstream payload;
-  wire::put_u64(payload, stages.size());
+  wire::Writer w;
+  w.put_bytes(kPipeMagic, sizeof(kPipeMagic));
+  const std::size_t frame = maddness::begin_frame(w);
+  w.put_u64(stages.size());
   for (const maddness::Amm* amm : stages) {
     SSMA_CHECK(amm != nullptr);
-    maddness::write_framed_blob(payload, amm->save_string());
+    maddness::write_framed_blob(w, amm->save_string());
   }
-  std::ostringstream os;
-  os.write(kPipeMagic, sizeof(kPipeMagic));
-  maddness::write_framed_blob(os, payload.str());
-  return os.str();
+  maddness::end_frame(w, frame);
+  return w.take();
 }
 
 ModelRef ModelHandle::from_blob(std::string name, std::uint64_t version,
@@ -62,17 +62,15 @@ ModelRef ModelHandle::from_blob(std::string name, std::uint64_t version,
 
   SSMA_CHECK_MSG(blob.size() >= 8, "model blob too short to be framed");
   if (std::equal(kPipeMagic, kPipeMagic + 8, blob.data())) {
-    std::istringstream is(blob);
-    is.ignore(8);
-    std::istringstream payload(maddness::read_framed_blob(is));
-    const std::uint64_t nstages = wire::get_u64(payload);
+    wire::Cursor file(std::string_view(blob).substr(8));
+    wire::Cursor payload(maddness::read_framed_blob(file));
+    const std::uint64_t nstages = payload.get_u64();
     SSMA_CHECK_MSG(nstages >= 1 && nstages <= 64,
                    "implausible pipeline stage count " << nstages);
     handle->stages_.reserve(static_cast<std::size_t>(nstages));
-    for (std::uint64_t s = 0; s < nstages; ++s) {
-      std::istringstream stage(maddness::read_framed_blob(payload));
-      handle->stages_.push_back(maddness::Amm::load(stage));
-    }
+    for (std::uint64_t s = 0; s < nstages; ++s)
+      handle->stages_.push_back(maddness::Amm::load_string(
+          std::string(maddness::read_framed_blob(payload))));
   } else {
     SSMA_CHECK_MSG(
         std::equal(kAmmMagicPrefix, kAmmMagicPrefix + 4, blob.data()),
@@ -297,49 +295,58 @@ std::size_t ModelRegistry::num_models() const {
   return models_.size();
 }
 
-void ModelRegistry::save(std::ostream& os) const {
+std::string ModelRegistry::save_string() const {
   // Snapshot the structure under the lock (handle refcount bumps only),
-  // then stream the — immutable — blobs outside it: serializing a large
+  // then encode the — immutable — blobs outside it: serializing a large
   // registry must not stall admission-path resolves (checkpoint cadence
-  // runs save() from the submit path).
+  // runs this from the submit path).
   std::map<std::string, Entry> snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot = models_;
   }
-  wire::put_u64(os, snapshot.size());
+  wire::Writer w;
+  w.put_u64(snapshot.size());
   for (const auto& kv : snapshot) {  // std::map: sorted, deterministic
-    wire::put_u64(os, kv.first.size());
-    os.write(kv.first.data(),
-             static_cast<std::streamsize>(kv.first.size()));
-    wire::put_u64(os, kv.second.latest);
-    wire::put_u64(os, kv.second.versions.size());
+    w.put_str64(kv.first);
+    w.put_u64(kv.second.latest);
+    w.put_u64(kv.second.versions.size());
     for (const auto& vv : kv.second.versions) {
-      wire::put_u64(os, vv.first);
-      const std::string& blob = vv.second->blob();
-      wire::put_u64(os, blob.size());
-      os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+      w.put_u64(vv.first);
+      w.put_str64(vv.second->blob());
     }
   }
+  return w.take();
 }
 
-void ModelRegistry::load(std::istream& is) {
-  const std::uint64_t nmodels = wire::get_u64(is);
+void ModelRegistry::save(std::ostream& os) const {
+  wire::write_all(os, save_string());
+}
+
+void ModelRegistry::load(std::istream& is) { apply(is, /*merge=*/false); }
+
+void ModelRegistry::merge(std::istream& is) { apply(is, /*merge=*/true); }
+
+void ModelRegistry::apply(std::istream& is, bool merge) {
+  const std::string bytes = wire::read_all(is);
+  wire::Cursor c(bytes);
+  const std::uint64_t nmodels = c.get_u64();
   SSMA_CHECK_MSG(nmodels <= 4096, "implausible registry model count");
   for (std::uint64_t m = 0; m < nmodels; ++m) {
-    std::string name(static_cast<std::size_t>(wire::get_u64(is)), '\0');
-    is.read(name.data(), static_cast<std::streamsize>(name.size()));
-    SSMA_CHECK_MSG(is.good(), "registry decode underflow");
-    const std::uint64_t latest = wire::get_u64(is);
-    const std::uint64_t nversions = wire::get_u64(is);
+    std::string name;
+    SSMA_CHECK_MSG(c.str64(&name), "registry decode underflow");
+    const std::uint64_t latest = c.get_u64();
+    const std::uint64_t nversions = c.get_u64();
     SSMA_CHECK_MSG(nversions >= 1 && nversions <= 65536,
                    "implausible version count for model " << name);
     for (std::uint64_t v = 0; v < nversions; ++v) {
-      const std::uint64_t version = wire::get_u64(is);
-      std::string blob(static_cast<std::size_t>(wire::get_u64(is)), '\0');
-      is.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-      SSMA_CHECK_MSG(is.good(), "registry decode underflow");
-      install(ModelHandle::from_blob(name, version, std::move(blob)));
+      const std::uint64_t version = c.get_u64();
+      std::string blob;
+      SSMA_CHECK_MSG(c.str64(&blob), "registry decode underflow");
+      // A merge keeps what this registry already holds; a load installs
+      // every version from the stream.
+      if (!merge || !try_resolve(name, version))
+        install(ModelHandle::from_blob(name, version, std::move(blob)));
     }
     // Honor the saved latest pointer exactly — including latest == 0, a
     // name whose only versions were staged (registered, checkpointed,
@@ -347,36 +354,9 @@ void ModelRegistry::load(std::istream& is) {
     // explicitly resolvable for journal replay, but "@latest" must not
     // silently commit an uncommitted swap. install() bumped latest, so
     // undo that unless the saved pointer names a missing version (a
-    // foreign/hand-edited blob — keep the install default then).
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = models_.find(name);
-    if (it != models_.end() &&
-        (latest == 0 || it->second.versions.count(latest)))
-      it->second.latest = latest;
-  }
-}
-
-void ModelRegistry::merge(std::istream& is) {
-  const std::uint64_t nmodels = wire::get_u64(is);
-  SSMA_CHECK_MSG(nmodels <= 4096, "implausible registry model count");
-  for (std::uint64_t m = 0; m < nmodels; ++m) {
-    std::string name(static_cast<std::size_t>(wire::get_u64(is)), '\0');
-    is.read(name.data(), static_cast<std::streamsize>(name.size()));
-    SSMA_CHECK_MSG(is.good(), "registry decode underflow");
-    const std::uint64_t latest = wire::get_u64(is);
-    const std::uint64_t nversions = wire::get_u64(is);
-    SSMA_CHECK_MSG(nversions >= 1 && nversions <= 65536,
-                   "implausible version count for model " << name);
-    for (std::uint64_t v = 0; v < nversions; ++v) {
-      const std::uint64_t version = wire::get_u64(is);
-      std::string blob(static_cast<std::size_t>(wire::get_u64(is)), '\0');
-      is.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-      SSMA_CHECK_MSG(is.good(), "registry decode underflow");
-      if (!try_resolve(name, version))
-        install(ModelHandle::from_blob(name, version, std::move(blob)));
-    }
-    // Same latest-pointer fidelity as load(): the stream is
-    // authoritative, newer than anything this registry was built from.
+    // foreign/hand-edited blob — keep the install default then). The
+    // stream is authoritative for a merge too: it is newer than
+    // anything this registry was built from.
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = models_.find(name);
     if (it != models_.end() &&

@@ -172,6 +172,8 @@ class ModelRegistry {
   /// Registry section of the v2 checkpoint record: every registered
   /// (name, version, blob) plus the latest pointers, in deterministic
   /// (sorted) order so identical registries encode byte-identically.
+  /// save() is one bulk write of save_string().
+  std::string save_string() const;
   void save(std::ostream& os) const;
   /// Installs every model from a save() stream into this registry.
   void load(std::istream& is);
@@ -185,6 +187,9 @@ class ModelRegistry {
   void merge(std::istream& is);
 
  private:
+  /// Shared decoder of load() (merge=false) and merge() (merge=true).
+  void apply(std::istream& is, bool merge);
+
   struct Entry {
     std::map<std::uint64_t, ModelRef> versions;
     std::uint64_t latest = 0;

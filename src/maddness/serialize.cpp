@@ -5,7 +5,7 @@
 // for the serving runtime, whose crash recovery reprograms worker shards
 // from persisted blobs.
 #include <algorithm>
-#include <array>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -20,67 +20,101 @@ namespace ssma::maddness {
 
 namespace {
 
-using wire::get_f32;
-using wire::get_f64;
-using wire::get_u32;
-using wire::get_u64;
-using wire::get_u8;
-using wire::put_f32;
-using wire::put_f64;
-using wire::put_u32;
-using wire::put_u64;
-using wire::put_u8;
-
 constexpr char kMagic[8] = {'S', 'S', 'M', 'A', 'A', 'M', 'M', '2'};
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: t[0] is the classic byte-at-a-time table, and
+/// t[k][b] advances t[k-1][b] by one more zero byte, so eight table
+/// lookups retire eight input bytes per step.
+struct CrcTables {
+  std::uint32_t t[8][256];
+};
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables.t[0][i] = c;
   }
-  return table;
+  for (int k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFFu];
+    }
+  return tables;
 }
 
-void put_matrix(std::ostream& os, const Matrix& m) {
-  put_u64(os, m.rows());
-  put_u64(os, m.cols());
-  for (std::size_t i = 0; i < m.size(); ++i) put_f32(os, m.data()[i]);
+constexpr CrcTables kCrc = make_crc_tables();
+
+void put_matrix(wire::Writer& w, const Matrix& m) {
+  w.put_u64(m.rows());
+  w.put_u64(m.cols());
+  w.put_array(m.data(), m.size());
 }
 
-Matrix get_matrix(std::istream& is) {
-  const auto rows = static_cast<std::size_t>(get_u64(is));
-  const auto cols = static_cast<std::size_t>(get_u64(is));
+Matrix get_matrix(wire::Cursor& c) {
+  const auto rows = static_cast<std::size_t>(c.get_u64());
+  const auto cols = static_cast<std::size_t>(c.get_u64());
   SSMA_CHECK_MSG(rows < (1u << 24) && cols < (1u << 24),
                  "implausible matrix dims in AMM stream");
+  SSMA_CHECK_MSG(rows * cols <= c.remaining() / sizeof(float),
+                 "AMM stream underflow: matrix larger than the payload");
   Matrix m(rows, cols);
-  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = get_f32(is);
+  wire::Cursor::need(c.array(m.data(), m.size()));
   return m;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrc.t;
   const auto* p = static_cast<const std::uint8_t*>(data);
   crc = ~crc;
-  for (std::size_t i = 0; i < n; ++i)
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint32_t lo, hi;  // little-endian host (util/wire.hpp)
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return ~crc;
 }
 
-std::uint32_t crc32(const std::string& s) {
-  return crc32(s.data(), s.size());
+std::uint32_t crc32(std::string_view s) { return crc32(s.data(), s.size()); }
+
+std::size_t begin_frame(wire::Writer& w) {
+  const std::size_t start = w.size();
+  w.put_u64(0);
+  w.put_u32(0);
+  return start;
 }
 
-void write_framed_blob(std::ostream& os, const std::string& payload) {
-  put_u64(os, payload.size());
-  put_u32(os, crc32(payload));
-  os.write(payload.data(),
-           static_cast<std::streamsize>(payload.size()));
-  SSMA_CHECK_MSG(os.good(), "framed blob write failure");
+void end_frame(wire::Writer& w, std::size_t start) {
+  const std::size_t body = start + kFrameHeaderBytes;
+  SSMA_CHECK(body <= w.size());
+  w.patch(start, static_cast<std::uint64_t>(w.size() - body));
+  w.patch(start + 8, crc32(w.str().data() + body, w.size() - body));
+}
+
+void write_framed_blob(wire::Writer& w, std::string_view payload) {
+  w.put_u64(payload.size());
+  w.put_u32(crc32(payload));
+  w.put_bytes(payload.data(), payload.size());
+}
+
+std::string_view read_framed_blob(wire::Cursor& c) {
+  std::uint64_t len = 0;
+  std::uint32_t want_crc = 0;
+  std::string_view payload;
+  SSMA_CHECK_MSG(c.u64(&len) && c.u32(&want_crc) && c.view(len, &payload) &&
+                     crc32(payload) == want_crc,
+                 "truncated or CRC-corrupt framed blob");
+  return payload;
 }
 
 std::string read_framed_blob(std::istream& is) {
@@ -91,114 +125,109 @@ std::string read_framed_blob(std::istream& is) {
 }
 
 bool try_read_framed_blob(std::istream& is, std::string* out) {
-  // Peek-driven: a clean EOF before the first length byte is a normal
-  // end of a record stream, anything shorter than a whole valid frame
-  // is a torn tail.
-  if (is.peek() == EOF) return false;
-  std::uint64_t len = 0;
-  std::uint32_t want_crc = 0;
-  char hdr[12];
+  // A clean EOF before the first length byte is a normal end of a
+  // record stream; anything shorter than a whole valid frame is a torn
+  // tail.
+  char hdr[kFrameHeaderBytes];
   is.read(hdr, sizeof(hdr));
   if (is.gcount() != static_cast<std::streamsize>(sizeof(hdr)))
     return false;
-  for (int i = 0; i < 8; ++i)
-    len |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(hdr[i]))
-           << (8 * i);
-  for (int i = 0; i < 4; ++i)
-    want_crc |=
-        static_cast<std::uint32_t>(static_cast<std::uint8_t>(hdr[8 + i]))
-        << (8 * i);
-  // Bound the length by the bytes actually left in the stream before
-  // allocating: a corrupt header must fall through as torn, not OOM.
-  const std::streampos body_start = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::streampos stream_end = is.tellg();
-  if (body_start < 0 || stream_end < 0) return false;
-  is.seekg(body_start);
-  if (len > static_cast<std::uint64_t>(stream_end - body_start))
-    return false;
-  std::string payload(static_cast<std::size_t>(len), '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(len));
-  if (is.gcount() != static_cast<std::streamsize>(len)) return false;
+  wire::Cursor h(hdr, sizeof(hdr));
+  const std::uint64_t len = h.get_u64();
+  const std::uint32_t want_crc = h.get_u32();
+  // Grow the payload as its bytes actually arrive, at most one chunk
+  // ahead of them: a corrupt length word must fall through as torn,
+  // not OOM.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  std::string payload;
+  for (std::uint64_t got = 0; got < len;) {
+    const std::uint64_t step = std::min(len - got, kChunk);
+    payload.resize(static_cast<std::size_t>(got + step));
+    is.read(payload.data() + got, static_cast<std::streamsize>(step));
+    if (is.gcount() != static_cast<std::streamsize>(step)) return false;
+    got += step;
+  }
   if (crc32(payload) != want_crc) return false;
   *out = std::move(payload);
   return true;
 }
 
-void Amm::save(std::ostream& os) const {
-  std::ostringstream body;
+std::string Amm::save_string() const {
+  wire::Writer w(64 + 4 * protos_.p.size() + lut_.q.size() +
+                 4 * (lut_.scales.size() + lut_.f.size()));
+  w.put_bytes(kMagic, sizeof(kMagic));
+  const std::size_t frame = begin_frame(w);
 
   // Config.
-  put_u32(body, static_cast<std::uint32_t>(cfg_.ncodebooks));
-  put_u32(body, static_cast<std::uint32_t>(cfg_.subvec_dim));
-  put_u32(body, static_cast<std::uint32_t>(cfg_.nlevels));
-  put_u8(body, cfg_.proto_opt == PrototypeOpt::kRidgeJoint ? 1 : 0);
-  put_f64(body, cfg_.ridge_lambda);
-  put_u8(body, cfg_.per_column_lut_scale ? 1 : 0);
-  put_f64(body, cfg_.act_clip_percentile);
-  put_u32(body, static_cast<std::uint32_t>(cfg_.lut_bits));
+  w.put_u32(static_cast<std::uint32_t>(cfg_.ncodebooks));
+  w.put_u32(static_cast<std::uint32_t>(cfg_.subvec_dim));
+  w.put_u32(static_cast<std::uint32_t>(cfg_.nlevels));
+  w.put_u8(cfg_.proto_opt == PrototypeOpt::kRidgeJoint ? 1 : 0);
+  w.put_f64(cfg_.ridge_lambda);
+  w.put_u8(cfg_.per_column_lut_scale ? 1 : 0);
+  w.put_f64(cfg_.act_clip_percentile);
+  w.put_u32(static_cast<std::uint32_t>(cfg_.lut_bits));
 
-  put_f32(body, act_scale_);
+  w.put_f32(act_scale_);
 
   // Trees.
   for (const auto& tree : trees_) {
     for (int l = 0; l < HashTree::kLevels; ++l)
-      put_u32(body, static_cast<std::uint32_t>(tree.split_dim(l)));
+      w.put_u32(static_cast<std::uint32_t>(tree.split_dim(l)));
     for (int n = 0; n < HashTree::kNodes; ++n)
-      put_u8(body, tree.threshold_flat(n));
+      w.put_u8(tree.threshold_flat(n));
   }
 
   // Prototypes.
-  put_matrix(body, protos_.p);
+  put_matrix(w, protos_.p);
 
   // LUT bank.
-  put_u32(body, static_cast<std::uint32_t>(lut_.nout));
-  put_u64(body, lut_.scales.size());
-  for (float s : lut_.scales) put_f32(body, s);
-  put_u64(body, lut_.q.size());
-  for (std::int8_t v : lut_.q) put_u8(body, static_cast<std::uint8_t>(v));
-  put_u64(body, lut_.f.size());
-  for (float v : lut_.f) put_f32(body, v);
+  w.put_u32(static_cast<std::uint32_t>(lut_.nout));
+  w.put_u64(lut_.scales.size());
+  w.put_array(lut_.scales.data(), lut_.scales.size());
+  w.put_u64(lut_.q.size());
+  w.put_array(lut_.q.data(), lut_.q.size());
+  w.put_u64(lut_.f.size());
+  w.put_array(lut_.f.data(), lut_.f.size());
 
-  os.write(kMagic, sizeof(kMagic));
-  write_framed_blob(os, body.str());
-  SSMA_CHECK_MSG(os.good(), "AMM serialization stream failure");
+  end_frame(w, frame);
+  return w.take();
 }
+
+void Amm::save(std::ostream& os) const { wire::write_all(os, save_string()); }
 
 Amm Amm::load(std::istream& is) {
   char magic[8];
   is.read(magic, sizeof(magic));
   SSMA_CHECK_MSG(is.good() && std::equal(magic, magic + 8, kMagic),
                  "not an SSMA AMM stream");
-  std::istringstream body(read_framed_blob(is));
+  const std::string payload = read_framed_blob(is);
+  wire::Cursor body(payload);
 
   Amm amm;
-  amm.cfg_.ncodebooks = static_cast<int>(get_u32(body));
-  amm.cfg_.subvec_dim = static_cast<int>(get_u32(body));
-  amm.cfg_.nlevels = static_cast<int>(get_u32(body));
-  amm.cfg_.proto_opt = get_u8(body) ? PrototypeOpt::kRidgeJoint
-                                    : PrototypeOpt::kBucketMeans;
-  amm.cfg_.ridge_lambda = get_f64(body);
-  amm.cfg_.per_column_lut_scale = get_u8(body) != 0;
-  amm.cfg_.act_clip_percentile = get_f64(body);
-  amm.cfg_.lut_bits = static_cast<int>(get_u32(body));
+  amm.cfg_.ncodebooks = static_cast<int>(body.get_u32());
+  amm.cfg_.subvec_dim = static_cast<int>(body.get_u32());
+  amm.cfg_.nlevels = static_cast<int>(body.get_u32());
+  amm.cfg_.proto_opt = body.get_u8() ? PrototypeOpt::kRidgeJoint
+                                     : PrototypeOpt::kBucketMeans;
+  amm.cfg_.ridge_lambda = body.get_f64();
+  amm.cfg_.per_column_lut_scale = body.get_u8() != 0;
+  amm.cfg_.act_clip_percentile = body.get_f64();
+  amm.cfg_.lut_bits = static_cast<int>(body.get_u32());
   amm.cfg_.validate();
 
-  amm.act_scale_ = get_f32(body);
+  amm.act_scale_ = body.get_f32();
   SSMA_CHECK(amm.act_scale_ > 0.0f);
 
   amm.trees_.resize(amm.cfg_.ncodebooks);
   for (auto& tree : amm.trees_) {
     for (int l = 0; l < HashTree::kLevels; ++l)
-      tree.set_split_dim(l, static_cast<int>(get_u32(body)));
-    for (int l = 0; l < HashTree::kLevels; ++l)
-      for (int n = 0; n < (1 << l); ++n)
-        tree.set_threshold(l, n, 0);  // placeholder; set flat below
+      tree.set_split_dim(l, static_cast<int>(body.get_u32()));
     // Flat threshold order matches save().
     for (int flat = 0; flat < HashTree::kNodes; ++flat) {
       const int level = flat < 1 ? 0 : (flat < 3 ? 1 : (flat < 7 ? 2 : 3));
       const int node = flat - ((1 << level) - 1);
-      tree.set_threshold(level, node, get_u8(body));
+      tree.set_threshold(level, node, body.get_u8());
     }
   }
 
@@ -206,13 +235,10 @@ Amm Amm::load(std::istream& is) {
   amm.protos_.cfg = amm.cfg_;
 
   amm.lut_.cfg = amm.cfg_;
-  amm.lut_.nout = static_cast<int>(get_u32(body));
-  amm.lut_.scales.resize(get_u64(body));
-  for (auto& s : amm.lut_.scales) s = get_f32(body);
-  amm.lut_.q.resize(get_u64(body));
-  for (auto& v : amm.lut_.q) v = static_cast<std::int8_t>(get_u8(body));
-  amm.lut_.f.resize(get_u64(body));
-  for (auto& v : amm.lut_.f) v = get_f32(body);
+  amm.lut_.nout = static_cast<int>(body.get_u32());
+  wire::Cursor::need(body.array(&amm.lut_.scales, body.get_u64()));
+  wire::Cursor::need(body.array(&amm.lut_.q, body.get_u64()));
+  wire::Cursor::need(body.array(&amm.lut_.f, body.get_u64()));
 
   SSMA_CHECK(amm.lut_.q.size() ==
              static_cast<std::size_t>(amm.cfg_.ncodebooks) *
@@ -235,12 +261,6 @@ Amm Amm::load_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   SSMA_CHECK_MSG(is.is_open(), "cannot open " << path);
   return load(is);
-}
-
-std::string Amm::save_string() const {
-  std::ostringstream os;
-  save(os);
-  return os.str();
 }
 
 Amm Amm::load_string(const std::string& blob) {

@@ -1,8 +1,5 @@
 #include "net/wire_protocol.hpp"
 
-#include <cstring>
-#include <sstream>
-
 #include "maddness/framing.hpp"
 #include "util/wire.hpp"
 
@@ -10,78 +7,7 @@ namespace ssma::net {
 
 namespace {
 
-void put_string(std::ostream& os, const std::string& s) {
-  wire::put_u32(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-/// Bounds-checked little-endian reader over a parsed payload. Every
-/// getter returns false instead of reading past the end, so a malformed
-/// message can never make the server index out of bounds.
-class Cursor {
- public:
-  Cursor(const std::string& s) : p_(s.data()), end_(s.data() + s.size()) {}
-
-  bool u8(std::uint8_t* v) {
-    if (end_ - p_ < 1) return false;
-    *v = static_cast<std::uint8_t>(*p_++);
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (end_ - p_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i)
-      *v |= static_cast<std::uint32_t>(
-                static_cast<std::uint8_t>(p_[i]))
-            << (8 * i);
-    p_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (end_ - p_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i)
-      *v |= static_cast<std::uint64_t>(
-                static_cast<std::uint8_t>(p_[i]))
-            << (8 * i);
-    p_ += 8;
-    return true;
-  }
-  bool str(std::string* v) {
-    std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (static_cast<std::size_t>(end_ - p_) < n) return false;
-    v->assign(p_, n);
-    p_ += n;
-    return true;
-  }
-  bool bytes(std::vector<std::uint8_t>* v, std::uint64_t n) {
-    if (static_cast<std::uint64_t>(end_ - p_) < n) return false;
-    v->assign(reinterpret_cast<const std::uint8_t*>(p_),
-              reinterpret_cast<const std::uint8_t*>(p_) + n);
-    p_ += n;
-    return true;
-  }
-  bool i16s(std::vector<std::int16_t>* v, std::uint64_t n) {
-    if (static_cast<std::uint64_t>(end_ - p_) < n * 2) return false;
-    v->resize(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto lo = static_cast<std::uint16_t>(
-          static_cast<std::uint8_t>(p_[2 * i]));
-      const auto hi = static_cast<std::uint16_t>(
-          static_cast<std::uint8_t>(p_[2 * i + 1]));
-      (*v)[i] = static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(lo | (hi << 8)));
-    }
-    p_ += static_cast<std::ptrdiff_t>(n * 2);
-    return true;
-  }
-  bool done() const { return p_ == end_; }
-
- private:
-  const char* p_;
-  const char* end_;
-};
+using wire::Cursor;
 
 bool parse_prelude(Cursor& c, MsgType want, std::uint64_t* corr) {
   std::uint8_t version = 0, type = 0;
@@ -91,58 +17,51 @@ bool parse_prelude(Cursor& c, MsgType want, std::uint64_t* corr) {
   return c.u64(corr);
 }
 
-std::string framed(const std::string& payload) {
-  std::ostringstream os;
-  maddness::write_framed_blob(os, payload);
-  return os.str();
+/// [u8 version][u8 msg type][u64 correlation id]: the prelude of every
+/// message; encoders append the per-type fields after it. Encoders size
+/// the buffer as 64 bytes of fixed fields plus their variable parts.
+void put_prelude(wire::Writer& w, MsgType type, std::uint64_t corr) {
+  w.put_u8(kWireVersion);
+  w.put_u8(static_cast<std::uint8_t>(type));
+  w.put_u64(corr);
 }
 
 }  // namespace
 
 std::string RpcRequest::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(MsgType::kInferRequest));
-  wire::put_u64(os, correlation_id);
-  put_string(os, tenant);
-  put_string(os, model_ref);
-  wire::put_u32(os, deadline_ms);
-  wire::put_u8(os, priority);
-  wire::put_u64(os, rows);
-  wire::put_u64(os, codes.size());
-  os.write(reinterpret_cast<const char*>(codes.data()),
-           static_cast<std::streamsize>(codes.size()));
-  return framed(os.str());
+  const std::size_t n = 64 + tenant.size() + model_ref.size();
+  return maddness::build_frame(n + codes.size(), [&](wire::Writer& w) {
+    put_prelude(w, MsgType::kInferRequest, correlation_id);
+    w.put_str32(tenant);
+    w.put_str32(model_ref);
+    w.put_u32(deadline_ms);
+    w.put_u8(priority);
+    w.put_u64(rows);
+    w.put_u64(codes.size());
+    w.put_array(codes.data(), codes.size());
+  });
 }
 
 std::string RpcResponse::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(MsgType::kInferResponse));
-  wire::put_u64(os, correlation_id);
-  wire::put_u8(os, status);
-  put_string(os, model);
-  wire::put_u64(os, model_version);
-  wire::put_u64(os, rows);
-  wire::put_u64(os, outputs.size());
-  for (std::int16_t o : outputs) {
-    const auto u = static_cast<std::uint16_t>(o);
-    wire::put_u8(os, static_cast<std::uint8_t>(u & 0xFF));
-    wire::put_u8(os, static_cast<std::uint8_t>(u >> 8));
-  }
-  put_string(os, message);
-  return framed(os.str());
+  const std::size_t n = 64 + model.size() + message.size();
+  return maddness::build_frame(n + 2 * outputs.size(), [&](wire::Writer& w) {
+    put_prelude(w, MsgType::kInferResponse, correlation_id);
+    w.put_u8(status);
+    w.put_str32(model);
+    w.put_u64(model_version);
+    w.put_u64(rows);
+    w.put_u64(outputs.size());
+    w.put_array(outputs.data(), outputs.size());
+    w.put_str32(message);
+  });
 }
 
 std::string ReplMessage::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(type));
-  wire::put_u64(os, arg);
-  wire::put_u64(os, arg2);
-  wire::put_u64(os, bytes.size());
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return framed(os.str());
+  return maddness::build_frame(64 + bytes.size(), [&](wire::Writer& w) {
+    put_prelude(w, type, arg);
+    w.put_u64(arg2);
+    w.put_str64(bytes);
+  });
 }
 
 bool parse_repl(const std::string& payload, ReplMessage* out) {
@@ -156,33 +75,25 @@ bool parse_repl(const std::string& payload, ReplMessage* out) {
   out->type = static_cast<MsgType>(type);
   if (!c.u64(&out->arg)) return false;
   if (!c.u64(&out->arg2)) return false;
-  std::uint64_t n = 0;
-  if (!c.u64(&n)) return false;
-  std::vector<std::uint8_t> body;
-  if (!c.bytes(&body, n)) return false;
-  out->bytes.assign(body.begin(), body.end());
+  if (!c.str64(&out->bytes)) return false;
   return c.done();
 }
 
 std::string AdminRequest::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(MsgType::kAdminRequest));
-  wire::put_u64(os, correlation_id);
-  wire::put_u8(os, op);
-  put_string(os, target);
-  return framed(os.str());
+  return maddness::build_frame(64 + target.size(), [&](wire::Writer& w) {
+    put_prelude(w, MsgType::kAdminRequest, correlation_id);
+    w.put_u8(op);
+    w.put_str32(target);
+  });
 }
 
 std::string AdminResponse::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(MsgType::kAdminResponse));
-  wire::put_u64(os, correlation_id);
-  wire::put_u8(os, status);
-  wire::put_u64(os, arg);
-  put_string(os, body);
-  return framed(os.str());
+  return maddness::build_frame(64 + body.size(), [&](wire::Writer& w) {
+    put_prelude(w, MsgType::kAdminResponse, correlation_id);
+    w.put_u8(status);
+    w.put_u64(arg);
+    w.put_str32(body);
+  });
 }
 
 bool parse_admin_request(const std::string& payload, AdminRequest* out) {
@@ -216,7 +127,7 @@ bool parse_request(const std::string& payload, RpcRequest* out) {
   if (!c.u64(&out->rows)) return false;
   std::uint64_t ncodes = 0;
   if (!c.u64(&ncodes)) return false;
-  if (!c.bytes(&out->codes, ncodes)) return false;
+  if (!c.array(&out->codes, ncodes)) return false;
   return c.done();
 }
 
@@ -230,7 +141,7 @@ bool parse_response(const std::string& payload, RpcResponse* out) {
   if (!c.u64(&out->rows)) return false;
   std::uint64_t nout = 0;
   if (!c.u64(&nout)) return false;
-  if (!c.i16s(&out->outputs, nout)) return false;
+  if (!c.array(&out->outputs, nout)) return false;
   if (!c.str(&out->message)) return false;
   return c.done();
 }
@@ -252,17 +163,12 @@ FrameDecoder::Result FrameDecoder::next(std::string* payload) {
   const std::size_t avail = buf_.size() - pos_;
   if (avail < 12) return Result::kNeedMore;  // len(8) + crc(4)
   const char* p = buf_.data() + pos_;
-  std::uint64_t len = 0;
-  for (int i = 0; i < 8; ++i)
-    len |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
-           << (8 * i);
+  Cursor hdr(p, 12);
+  const std::uint64_t len = hdr.get_u64();
+  const std::uint32_t crc = hdr.get_u32();
   // An oversized length word means a desynchronized or hostile stream;
   // there is no way to resynchronize framing, so the caller must close.
   if (len > max_frame_bytes_) return Result::kBad;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i)
-    crc |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[8 + i]))
-           << (8 * i);
   if (avail < 12 + len) return Result::kNeedMore;
   if (maddness::crc32(p + 12, static_cast<std::size_t>(len)) != crc)
     return Result::kBad;

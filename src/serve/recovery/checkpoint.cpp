@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "maddness/framing.hpp"
 #include "serve/recovery/fault_injector.hpp"
@@ -50,20 +50,18 @@ std::string encode(std::uint64_t version, const CheckpointState& st) {
   // fixtures survive the v2 bump.
   const bool v1 = st.is_v1();
   const std::string& blob = v1 ? st.amm_blob : st.registry_blob;
-  std::ostringstream payload;
-  wire::put_u64(payload, st.next_request_id);
-  wire::put_u64(payload, st.accepted_requests);
-  wire::put_u64(payload, st.completed_requests);
-  wire::put_u64(payload, st.tokens);
-  wire::put_u64(payload, st.batches);
-  wire::put_u64(payload, blob.size());
-  payload.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-
-  std::ostringstream file;
-  file.write(v1 ? kMagicV1 : kMagicV2, 8);
-  wire::put_u64(file, version);
-  maddness::write_framed_blob(file, payload.str());
-  return file.str();
+  wire::Writer w(16 + maddness::kFrameHeaderBytes + 48 + blob.size());
+  w.put_bytes(v1 ? kMagicV1 : kMagicV2, 8);
+  w.put_u64(version);
+  const std::size_t frame = maddness::begin_frame(w);
+  w.put_u64(st.next_request_id);
+  w.put_u64(st.accepted_requests);
+  w.put_u64(st.completed_requests);
+  w.put_u64(st.tokens);
+  w.put_u64(st.batches);
+  w.put_str64(blob);
+  maddness::end_frame(w, frame);
+  return w.take();
 }
 
 }  // namespace
@@ -103,8 +101,8 @@ std::uint64_t CheckpointManager::write(const CheckpointState& st) {
       const std::string bytes = encode(version, st);
       std::ofstream os(final_path, std::ios::binary);
       SSMA_CHECK_MSG(os.is_open(), "cannot open " << final_path);
-      os.write(bytes.data(),
-               static_cast<std::streamsize>(bytes.size() / 2));
+      wire::write_all(os,
+                      std::string_view(bytes).substr(0, bytes.size() / 2));
       return version;
     }
   }
@@ -118,37 +116,31 @@ std::uint64_t CheckpointManager::write(const CheckpointState& st) {
 void CheckpointManager::write_file(const std::string& path,
                                    std::uint64_t version,
                                    const CheckpointState& st) {
-  const std::string bytes = encode(version, st);
   std::ofstream os(path, std::ios::binary);
   SSMA_CHECK_MSG(os.is_open(), "cannot open " << path);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  SSMA_CHECK_MSG(os.good(), "checkpoint write failure: " << path);
+  wire::write_all(os, encode(version, st));
 }
 
 CheckpointState CheckpointManager::load_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   SSMA_CHECK_MSG(is.is_open(), "cannot open checkpoint " << path);
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  const bool v1 =
-      is.gcount() == 8 && std::equal(magic, magic + 8, kMagicV1);
-  const bool v2 =
-      is.gcount() == 8 && std::equal(magic, magic + 8, kMagicV2);
+  const std::string bytes = wire::read_all(is);
+  wire::Cursor file(bytes);
+  std::string_view magic;
+  const bool framed = file.view(8, &magic);
+  const bool v1 = framed && magic == std::string_view(kMagicV1, 8);
+  const bool v2 = framed && magic == std::string_view(kMagicV2, 8);
   SSMA_CHECK_MSG(v1 || v2, "not an SSMA checkpoint: " << path);
-  wire::get_u64(is);  // version echo; the filename is authoritative
-  std::istringstream payload(maddness::read_framed_blob(is));
+  file.get_u64();  // version echo; the filename is authoritative
+  wire::Cursor payload(maddness::read_framed_blob(file));
 
   CheckpointState st;
-  st.next_request_id = wire::get_u64(payload);
-  st.accepted_requests = wire::get_u64(payload);
-  st.completed_requests = wire::get_u64(payload);
-  st.tokens = wire::get_u64(payload);
-  st.batches = wire::get_u64(payload);
-  std::string& blob = v1 ? st.amm_blob : st.registry_blob;
-  blob.resize(static_cast<std::size_t>(wire::get_u64(payload)));
-  payload.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-  SSMA_CHECK_MSG(payload.gcount() ==
-                     static_cast<std::streamsize>(blob.size()),
+  st.next_request_id = payload.get_u64();
+  st.accepted_requests = payload.get_u64();
+  st.completed_requests = payload.get_u64();
+  st.tokens = payload.get_u64();
+  st.batches = payload.get_u64();
+  SSMA_CHECK_MSG(payload.str64(v1 ? &st.amm_blob : &st.registry_blob),
                  "checkpoint payload underflow: " << path);
   return st;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <sstream>
+#include <unordered_set>
 
 #include "maddness/framing.hpp"
 #include "util/check.hpp"
@@ -21,26 +21,21 @@ constexpr std::uint8_t kAcceptedV2 = 3;  ///< model-tagged accept
 /// has no sequence number and is skipped by read().
 constexpr std::uint8_t kCompacted = 4;
 
-/// Marker payload: type byte + base_seq + base_bytes.
-std::string encode_marker(std::uint64_t base_seq,
-                          std::uint64_t base_bytes) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kCompacted);
-  wire::put_u64(payload, base_seq);
-  wire::put_u64(payload, base_bytes);
-  return payload.str();
+/// Marker frame: type byte + base_seq + base_bytes.
+std::string marker_frame(std::uint64_t base_seq, std::uint64_t base_bytes) {
+  return maddness::build_frame(17, [&](wire::Writer& w) {
+    w.put_u8(kCompacted);
+    w.put_u64(base_seq);
+    w.put_u64(base_bytes);
+  });
 }
 
 bool parse_marker(const std::string& payload, std::uint64_t* base_seq,
                   std::uint64_t* base_bytes) {
-  if (payload.size() != 17 ||
-      static_cast<std::uint8_t>(payload[0]) != kCompacted)
-    return false;
-  std::istringstream body(payload);
-  wire::get_u8(body);
-  *base_seq = wire::get_u64(body);
-  *base_bytes = wire::get_u64(body);
-  return true;
+  wire::Cursor c(payload);
+  std::uint8_t type = 0;
+  return payload.size() == 17 && c.u8(&type) && type == kCompacted &&
+         c.u64(base_seq) && c.u64(base_bytes);
 }
 
 }  // namespace
@@ -124,23 +119,26 @@ RequestJournal::RequestJournal(const std::string& path) : path_(path) {
   }
 }
 
-std::uint64_t RequestJournal::append_record(const std::string& payload) {
+std::uint64_t RequestJournal::append_frame(const std::string& frame) {
   std::lock_guard<std::mutex> lock(mu_);
-  maddness::write_framed_blob(os_, payload);
-  // Flush every record: the journal is only useful if it survives the
-  // crash it exists to cover. (OS-level fsync durability is out of
-  // scope for the in-process model; flush makes records visible to a
-  // same-host reader immediately.)
+  // One write per record, flushed: the journal is only useful if it
+  // survives the crash it exists to cover. (OS-level fsync durability
+  // is out of scope for the in-process model; flush makes records
+  // visible to a same-host reader immediately.)
+  os_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   os_.flush();
   SSMA_CHECK_MSG(os_.good(), "journal append failure on " << path_);
   const std::uint64_t seq = ++seq_;
-  bytes_ += 12 + payload.size();  // frame = len(8) + crc(4) + payload
+  bytes_ += frame.size();
   if (hook_) hook_(seq, bytes_);
   return seq;
 }
 
 std::uint64_t RequestJournal::append_raw(const std::string& payload) {
-  return append_record(payload);
+  return append_frame(
+      maddness::build_frame(payload.size(), [&](wire::Writer& w) {
+        w.put_bytes(payload.data(), payload.size());
+      }));
 }
 
 std::uint64_t RequestJournal::durable_seq() const {
@@ -164,55 +162,78 @@ std::uint64_t RequestJournal::compact(std::uint64_t max_seq) {
   if (bound <= base_seq_) return 0;
   os_.flush();
 
-  // Scan the live file: one payload per surviving record, plus the set
-  // of ids with a completion record ANYWHERE in the journal (a prefix
-  // record's ack may live past the prune point; pruning the accept but
-  // keeping the ack is fine — read() tolerates an ack with no accept).
-  std::vector<std::string> payloads;
-  std::unordered_map<std::uint64_t, bool> completed;
+  // One streaming pass over the live file (every frame CRC-checked as
+  // it is read) keeps per-record metadata only, plus the set of ids
+  // with a completion record ANYWHERE in the journal (a prefix record's
+  // ack may live past the prune point; pruning the accept but keeping
+  // the ack is fine — read() tolerates an ack with no accept).
+  struct Meta {
+    std::uint64_t frame_bytes;
+    std::uint64_t accepted_id;
+    bool parsed;
+    bool is_accepted;
+  };
+  std::vector<Meta> records;
+  records.reserve(static_cast<std::size_t>(seq_ - base_seq_));
+  std::unordered_set<std::uint64_t> completed;
+  std::uint64_t live_bytes = 0;
   {
     std::ifstream is(path_, std::ios::binary);
     SSMA_CHECK_MSG(is.is_open(), "cannot reopen journal " << path_);
-    is.ignore(static_cast<std::streamsize>(header_bytes_));
+    is.seekg(static_cast<std::streamoff>(header_bytes_));
     std::string payload;
-    while (maddness::try_read_framed_blob(is, &payload))
-      payloads.push_back(payload);
-  }
-  SSMA_CHECK_MSG(payloads.size() == seq_ - base_seq_,
-                 "journal " << path_ << " holds " << payloads.size()
-                            << " records, expected " << seq_ - base_seq_);
-  for (const std::string& p : payloads) {
     ParsedRecord rec;
-    if (parse_record(p, &rec) && !rec.is_accepted)
-      completed[rec.completed_id] = true;
+    while (maddness::try_read_framed_blob(is, &payload)) {
+      const bool parsed = parse_record(payload, &rec);
+      if (parsed && !rec.is_accepted) completed.insert(rec.completed_id);
+      records.push_back({maddness::kFrameHeaderBytes + payload.size(),
+                         rec.accepted.id, parsed,
+                         parsed && rec.is_accepted});
+      live_bytes += records.back().frame_bytes;
+    }
   }
+  SSMA_CHECK_MSG(records.size() == seq_ - base_seq_,
+                 "journal " << path_ << " holds " << records.size()
+                            << " records, expected " << seq_ - base_seq_);
 
   // Longest fully-acknowledged prefix ending at or before the bound.
   std::uint64_t new_base = base_seq_;
-  std::uint64_t new_base_bytes = base_bytes_;
+  std::uint64_t pruned_bytes = 0;
   for (std::uint64_t s = base_seq_ + 1; s <= bound; ++s) {
-    const std::string& p = payloads[s - base_seq_ - 1];
-    ParsedRecord rec;
-    SSMA_CHECK_MSG(parse_record(p, &rec),
+    const Meta& m = records[s - base_seq_ - 1];
+    SSMA_CHECK_MSG(m.parsed,
                    "unparsable journal record " << s << " in " << path_);
-    if (rec.is_accepted && !completed.count(rec.accepted.id)) break;
+    if (m.is_accepted && !completed.count(m.accepted_id)) break;
     new_base = s;
-    new_base_bytes += 12 + p.size();
+    pruned_bytes += m.frame_bytes;
   }
   if (new_base <= base_seq_) return 0;
   const std::uint64_t pruned = new_base - base_seq_;
 
-  // Atomic rewrite: magic + marker + surviving frames into a temp file,
-  // rename over the original. A crash leaves old or new, never a mix.
-  const std::string marker = encode_marker(new_base, new_base_bytes);
+  // Atomic rewrite: magic + marker, then the surviving frames copied
+  // byte-for-byte, into a temp file renamed over the original. A crash
+  // leaves old or new, never a mix.
+  const std::string marker =
+      marker_frame(new_base, base_bytes_ + pruned_bytes);
   const std::string tmp = path_ + ".compact";
   {
+    std::ifstream is(path_, std::ios::binary);
+    SSMA_CHECK_MSG(is.is_open(), "cannot reopen journal " << path_);
+    is.seekg(static_cast<std::streamoff>(header_bytes_ + pruned_bytes));
     std::ofstream ns(tmp, std::ios::binary | std::ios::trunc);
     SSMA_CHECK_MSG(ns.is_open(), "cannot open " << tmp);
     ns.write(kMagic, sizeof(kMagic));
-    maddness::write_framed_blob(ns, marker);
-    for (std::uint64_t s = new_base + 1; s <= seq_; ++s)
-      maddness::write_framed_blob(ns, payloads[s - base_seq_ - 1]);
+    ns.write(marker.data(), static_cast<std::streamsize>(marker.size()));
+    std::string chunk(std::size_t{1} << 16, '\0');
+    for (std::uint64_t left = live_bytes - pruned_bytes; left > 0;) {
+      const auto n = static_cast<std::streamsize>(
+          std::min<std::uint64_t>(left, chunk.size()));
+      is.read(chunk.data(), n);
+      SSMA_CHECK_MSG(is.gcount() == n,
+                     "journal " << path_ << " shrank during compaction");
+      ns.write(chunk.data(), n);
+      left -= static_cast<std::uint64_t>(n);
+    }
     ns.flush();
     SSMA_CHECK_MSG(ns.good(), "compaction write failure on " << tmp);
   }
@@ -221,8 +242,8 @@ std::uint64_t RequestJournal::compact(std::uint64_t max_seq) {
   os_.open(path_, std::ios::binary | std::ios::app);
   SSMA_CHECK_MSG(os_.is_open(), "cannot reopen journal " << path_);
   base_seq_ = new_base;
-  base_bytes_ = new_base_bytes;
-  header_bytes_ = 8 + 12 + marker.size();
+  base_bytes_ += pruned_bytes;
+  header_bytes_ = sizeof(kMagic) + marker.size();
   ++generation_;
   // seq_/bytes_ are virtual and unchanged: appends, the commit hook and
   // the replication handshake keep their pre-compaction addressing.
@@ -237,15 +258,15 @@ void RequestJournal::adopt_base(std::uint64_t base_seq,
                                                     << " (durable seq "
                                                     << seq_ << ")");
   SSMA_CHECK(base_seq >= 1 && base_bytes >= 8);
-  const std::string marker = encode_marker(base_seq, base_bytes);
-  maddness::write_framed_blob(os_, marker);
+  const std::string marker = marker_frame(base_seq, base_bytes);
+  os_.write(marker.data(), static_cast<std::streamsize>(marker.size()));
   os_.flush();
   SSMA_CHECK_MSG(os_.good(), "journal append failure on " << path_);
   base_seq_ = base_seq;
   base_bytes_ = base_bytes;
   seq_ = base_seq;
   bytes_ = base_bytes;
-  header_bytes_ = 8 + 12 + marker.size();
+  header_bytes_ = sizeof(kMagic) + marker.size();
   ++generation_;
 }
 
@@ -257,80 +278,69 @@ void RequestJournal::set_commit_hook(CommitHook hook) {
 std::uint64_t RequestJournal::append_accepted(
     std::uint64_t id, std::size_t rows,
     const std::vector<std::uint8_t>& codes) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kAccepted);
-  wire::put_u64(payload, id);
-  wire::put_u64(payload, rows);
-  wire::put_u64(payload, codes.size());
-  payload.write(reinterpret_cast<const char*>(codes.data()),
-                static_cast<std::streamsize>(codes.size()));
-  return append_record(payload.str());
+  return append_frame(
+      maddness::build_frame(25 + codes.size(), [&](wire::Writer& w) {
+        w.put_u8(kAccepted);
+        w.put_u64(id);
+        w.put_u64(rows);
+        w.put_u64(codes.size());
+        w.put_array(codes.data(), codes.size());
+      }));
 }
 
 std::uint64_t RequestJournal::append_accepted(
     std::uint64_t id, const std::string& model,
     std::uint64_t model_version, std::size_t rows,
     const std::vector<std::uint8_t>& codes) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kAcceptedV2);
-  wire::put_u64(payload, id);
-  wire::put_u64(payload, model.size());
-  payload.write(model.data(),
-                static_cast<std::streamsize>(model.size()));
-  wire::put_u64(payload, model_version);
-  wire::put_u64(payload, rows);
-  wire::put_u64(payload, codes.size());
-  payload.write(reinterpret_cast<const char*>(codes.data()),
-                static_cast<std::streamsize>(codes.size()));
-  return append_record(payload.str());
+  return append_frame(maddness::build_frame(
+      41 + model.size() + codes.size(), [&](wire::Writer& w) {
+        w.put_u8(kAcceptedV2);
+        w.put_u64(id);
+        w.put_str64(model);
+        w.put_u64(model_version);
+        w.put_u64(rows);
+        w.put_u64(codes.size());
+        w.put_array(codes.data(), codes.size());
+      }));
 }
 
 std::uint64_t RequestJournal::append_completed(std::uint64_t id,
                                                int worker_id,
                                                std::uint32_t output_crc) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kCompleted);
-  wire::put_u64(payload, id);
-  wire::put_u32(payload, static_cast<std::uint32_t>(worker_id));
-  wire::put_u32(payload, output_crc);
-  return append_record(payload.str());
+  return append_frame(maddness::build_frame(17, [&](wire::Writer& w) {
+    w.put_u8(kCompleted);
+    w.put_u64(id);
+    w.put_u32(static_cast<std::uint32_t>(worker_id));
+    w.put_u32(output_crc);
+  }));
 }
 
 bool RequestJournal::parse_record(const std::string& payload,
                                   ParsedRecord* out) {
-  std::istringstream body(payload);
+  wire::Cursor c(payload);
   std::uint8_t type = 0;
-  try {
-    type = wire::get_u8(body);
-    if (type == kAccepted || type == kAcceptedV2) {
-      out->is_accepted = true;
-      AcceptedRecord& rec = out->accepted;
-      rec.id = wire::get_u64(body);
-      if (type == kAcceptedV2) {
-        rec.model.resize(static_cast<std::size_t>(wire::get_u64(body)));
-        body.read(rec.model.data(),
-                  static_cast<std::streamsize>(rec.model.size()));
-        if (body.gcount() !=
-            static_cast<std::streamsize>(rec.model.size()))
-          return false;
-        rec.model_version = wire::get_u64(body);
-      }
-      rec.rows = static_cast<std::size_t>(wire::get_u64(body));
-      rec.codes.resize(static_cast<std::size_t>(wire::get_u64(body)));
-      body.read(reinterpret_cast<char*>(rec.codes.data()),
-                static_cast<std::streamsize>(rec.codes.size()));
-      return body.gcount() ==
-             static_cast<std::streamsize>(rec.codes.size());
+  if (!c.u8(&type)) return false;
+  if (type == kAccepted || type == kAcceptedV2) {
+    out->is_accepted = true;
+    AcceptedRecord& rec = out->accepted;
+    std::uint64_t rows = 0, ncodes = 0;
+    if (!c.u64(&rec.id)) return false;
+    if (type == kAcceptedV2) {
+      if (!c.str64(&rec.model) || !c.u64(&rec.model_version))
+        return false;
+    } else {
+      rec.model.clear();
+      rec.model_version = 0;
     }
-    if (type == kCompleted) {
-      out->is_accepted = false;
-      out->completed_id = wire::get_u64(body);
-      wire::get_u32(body);  // worker id: informational only
-      out->completed_crc = wire::get_u32(body);
-      return body.good() || body.eof();
-    }
-  } catch (const std::exception&) {
-    return false;  // wire::get_* underflow on a truncated payload
+    if (!c.u64(&rows) || !c.u64(&ncodes)) return false;
+    rec.rows = static_cast<std::size_t>(rows);
+    return c.array(&rec.codes, ncodes);
+  }
+  if (type == kCompleted) {
+    out->is_accepted = false;
+    std::uint32_t worker_id = 0;  // informational only
+    return c.u64(&out->completed_id) && c.u32(&worker_id) &&
+           c.u32(&out->completed_crc);
   }
   return false;  // unknown record type
 }
@@ -366,40 +376,19 @@ JournalReplay RequestJournal::read(const std::string& path) {
         continue;
       }
     }
-    std::istringstream body(payload);
-    const std::uint8_t type = wire::get_u8(body);
-    if (type == kAccepted || type == kAcceptedV2) {
-      AcceptedRecord rec;
-      rec.id = wire::get_u64(body);
-      if (type == kAcceptedV2) {
-        rec.model.resize(static_cast<std::size_t>(wire::get_u64(body)));
-        body.read(rec.model.data(),
-                  static_cast<std::streamsize>(rec.model.size()));
-        SSMA_CHECK_MSG(body.gcount() == static_cast<std::streamsize>(
-                                            rec.model.size()),
-                       "journal accepted record underflow");
-        rec.model_version = wire::get_u64(body);
-      }
-      rec.rows = static_cast<std::size_t>(wire::get_u64(body));
-      rec.codes.resize(static_cast<std::size_t>(wire::get_u64(body)));
-      body.read(reinterpret_cast<char*>(rec.codes.data()),
-                static_cast<std::streamsize>(rec.codes.size()));
-      SSMA_CHECK_MSG(body.gcount() ==
-                         static_cast<std::streamsize>(rec.codes.size()),
-                     "journal accepted record underflow");
+    ParsedRecord rec;
+    SSMA_CHECK_MSG(parse_record(payload, &rec),
+                   "unparsable journal record (unknown type or "
+                   "truncated fields) in "
+                       << path);
+    if (rec.is_accepted) {
       replay.accepted++;
-      replay.max_id = std::max(replay.max_id, rec.id);
-      accepted.push_back(std::move(rec));
-    } else if (type == kCompleted) {
-      const std::uint64_t id = wire::get_u64(body);
-      wire::get_u32(body);  // worker id: informational only
-      const std::uint32_t crc = wire::get_u32(body);
-      replay.completed++;
-      replay.max_id = std::max(replay.max_id, id);
-      replay.completed_crc[id] = crc;
+      replay.max_id = std::max(replay.max_id, rec.accepted.id);
+      accepted.push_back(std::move(rec.accepted));
     } else {
-      SSMA_CHECK_MSG(false, "unknown journal record type "
-                                << static_cast<int>(type));
+      replay.completed++;
+      replay.max_id = std::max(replay.max_id, rec.completed_id);
+      replay.completed_crc[rec.completed_id] = rec.completed_crc;
     }
   }
 

@@ -8,7 +8,10 @@
 // is deterministic and bit-exact, re-executing them on a restored
 // server reproduces the exact bits the lost run would have produced,
 // and the completed CRCs let an auditor verify already-acknowledged
-// responses to the bit.
+// responses to the bit — back to the last compaction, which prunes the
+// acknowledged prefix a checkpoint covers (the serving runtime compacts
+// at every cadence checkpoint, so the WAL stays about one cadence
+// window long).
 //
 // Records are individually CRC-framed (maddness/framing.hpp); a torn
 // tail — the half-written record of the crash itself — is detected and
@@ -134,7 +137,9 @@ class RequestJournal {
   /// follower ack / newest durable checkpoint). The file is atomically
   /// rewritten (temp + rename) with a marker frame carrying the new
   /// base, so a crash mid-compaction leaves either the old or the new
-  /// file, never a hybrid. Returns the number of records pruned.
+  /// file, never a hybrid. Streams: one CRC-checked pass keeps
+  /// per-record metadata only, then the surviving byte range is copied
+  /// verbatim. Returns the number of records pruned.
   std::uint64_t compact(std::uint64_t max_seq);
 
   /// Seeds an EMPTY journal with a compaction base shipped by a leader:
@@ -157,7 +162,8 @@ class RequestJournal {
   static bool parse_record(const std::string& payload, ParsedRecord* out);
 
  private:
-  std::uint64_t append_record(const std::string& payload);
+  /// Writes one whole frame (header + payload) and flushes it.
+  std::uint64_t append_frame(const std::string& frame);
 
   std::string path_;
   mutable std::mutex mu_;

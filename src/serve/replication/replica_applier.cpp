@@ -250,9 +250,9 @@ void ReplicaApplier::session(int fd) {
     // Durable byte offset: our journal is a byte-prefix of the
     // leader's, so this lets the leader seek straight to our resume
     // point instead of re-scanning `arg` frames on every reconnect.
-    std::ostringstream hb;
-    wire::put_u64(hb, journal_->durable_bytes());
-    hello.bytes = hb.str();
+    wire::Writer hb(8);
+    hb.put_u64(journal_->durable_bytes());
+    hello.bytes = hb.take();
   }
   const std::string frame = hello.encode();
   if (send_all(fd, frame.data(), frame.size())) {

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <utility>
 
 #include "maddness/framing.hpp"
@@ -365,10 +364,7 @@ void ReplicationLog::session_main(Follower* f) {
     // to O(journal^2) under reconnect churn). An empty/implausible
     // offset falls back to the sequential skip.
     std::uint64_t follower_bytes = 0;
-    if (hello.bytes.size() == 8) {
-      std::istringstream hb(hello.bytes);
-      follower_bytes = wire::get_u64(hb);
-    }
+    if (hello.bytes.size() == 8) wire::Cursor(hello.bytes).u64(&follower_bytes);
     if (follower_bytes >= tail.info().base_bytes &&
         follower_bytes <= journal_.durable_bytes() &&
         (hello.arg > 0 || follower_bytes == 8)) {

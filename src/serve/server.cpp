@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -157,18 +158,42 @@ void InferenceServer::maybe_checkpoint(std::uint64_t accepted,
   if (!force && (recovery_.checkpoint_every == 0 ||
                  accepted % recovery_.checkpoint_every != 0))
     return;
+  // A cadence checkpoint also bounds the WAL; the forced ones (startup,
+  // registration, promotion) only persist state.
+  checkpoint(accepted, /*compact=*/!force);
+}
+
+std::uint64_t InferenceServer::checkpoint(std::uint64_t accepted,
+                                          bool compact) {
   SSMA_TRACE_SPAN(kCheckpoint);
+  // Serialized so checkpoint versions land in capture order: the newest
+  // version on disk must carry the newest watermark, or a compaction
+  // bounded by a later capture could outrun it.
+  std::lock_guard<std::mutex> lock(checkpoint_mu_);
+  // The compaction horizon is captured BEFORE the state below is read.
+  // Every record at or before it was appended after its request took
+  // an id, so its id is below the watermark read next; pruning no
+  // further keeps recover_state's next_request_id above every
+  // acknowledged id.
+  const std::uint64_t horizon =
+      recovery_.journal ? recovery_.journal->durable_seq() : 0;
   const MetricsSnapshot snap = metrics_.snapshot();
   recovery::CheckpointState st;
-  std::ostringstream blob;
-  registry_->save(blob);
-  st.registry_blob = blob.str();
+  st.registry_blob = registry_->save_string();
   st.next_request_id = next_id_.load(std::memory_order_relaxed);
   st.accepted_requests = accepted;
   st.completed_requests = snap.requests;
   st.tokens = snap.tokens;
   st.batches = snap.batches;
   recovery_.checkpoints->write(st);
+  if (!compact || !recovery_.journal) return 0;
+  // Never compact past the slowest connected follower's ack mark — its
+  // resume point must stay servable byte-exact.
+  const std::uint64_t bound =
+      recovery_.replication
+          ? std::min(horizon, recovery_.replication->min_follower_ack())
+          : horizon;
+  return recovery_.journal->compact(bound);
 }
 
 std::future<InferenceResult> InferenceServer::submit_with_id(
@@ -400,14 +425,8 @@ std::uint64_t InferenceServer::compact_journal() {
   // A checkpoint is required: the pruned records' accepted/completed
   // counters live on only through the checkpoint state a restore reads.
   if (!recovery_.journal || !recovery_.checkpoints) return 0;
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
-  // Never compact past the slowest connected follower's ack mark — its
-  // resume point must stay servable byte-exact.
-  const std::uint64_t bound =
-      recovery_.replication ? recovery_.replication->min_follower_ack()
-                            : ~std::uint64_t{0};
-  return recovery_.journal->compact(bound);
+  return checkpoint(accepted_.load(std::memory_order_relaxed),
+                    /*compact=*/true);
 }
 
 void InferenceServer::set_batch_observer(BatchObserver* observer) {

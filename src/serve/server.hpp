@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -101,7 +102,11 @@ struct RecoveryOptions {
   /// restore every bank a journaled request may reference.
   recovery::CheckpointManager* checkpoints = nullptr;
   /// Snapshot cadence: a checkpoint every N accepted requests
-  /// (0 = only the startup/registration checkpoints).
+  /// (0 = only the startup/registration checkpoints). Each cadence
+  /// checkpoint then compacts the journal up to the acknowledged prefix
+  /// it covers (and, with replication, the slowest follower's ack), so
+  /// the WAL holds about N requests' records instead of growing for the
+  /// life of the server.
   std::size_t checkpoint_every = 0;
   /// Deterministic fault hook, threaded through admission, the queue,
   /// the worker pool, and checkpoint writes.
@@ -250,9 +255,10 @@ class InferenceServer {
   /// as ssma_repl_role 2 plus apply counters in the exposition).
   void note_promotion(std::uint64_t applied_records, double apply_rate_hz);
 
-  /// Prunes the journal prefix that is both fully acknowledged and —
-  /// when replication is wired — replicated to the slowest handshaken
-  /// follower, so long-running leaders stop growing disk unboundedly.
+  /// Writes a checkpoint, then prunes the journal prefix that is fully
+  /// acknowledged, covered by that checkpoint, and — when replication
+  /// is wired — replicated to the slowest handshaken follower. The
+  /// cadence checkpoints do the same on their own.
   /// No-op (returns 0) without a journal + checkpoint store (the
   /// checkpoint carries the counters the pruned records backed).
   /// Returns the number of records pruned.
@@ -298,8 +304,13 @@ class InferenceServer {
       std::uint64_t id, engine::ModelRef model,
       std::vector<std::uint8_t> codes, std::size_t rows,
       bool journal_accept, SubmitExtras extras);
-  /// Writes a checkpoint when `accepted` hits the cadence (or `force`).
+  /// Writes a checkpoint when `accepted` hits the cadence (or `force`);
+  /// a cadence checkpoint also compacts the journal.
   void maybe_checkpoint(std::uint64_t accepted, bool force);
+  /// Writes one checkpoint; with `compact`, then prunes the journal no
+  /// further than the seq captured before the checkpoint's state was
+  /// read. Returns the records pruned.
+  std::uint64_t checkpoint(std::uint64_t accepted, bool compact);
 
   std::shared_ptr<engine::ModelRegistry> registry_;
   std::atomic<std::uint64_t> next_id_{0};
@@ -309,6 +320,7 @@ class InferenceServer {
   Metrics metrics_;
   std::unique_ptr<WorkerPool> pool_;
   RecoveryOptions recovery_;
+  std::mutex checkpoint_mu_;  ///< serializes checkpoint()
   bool shut_down_ = false;
   /// Set once by note_promotion(); read by render_prometheus.
   struct PromotionInfo {

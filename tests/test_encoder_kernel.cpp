@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <set>
 #include <vector>
 
 #include "maddness/amm.hpp"
@@ -423,6 +424,7 @@ TEST(EncoderKernel, ServeJournalReplayStaysBitExactWithNewEncoder) {
   constexpr std::size_t kRequests = 24;
 
   std::size_t served = 0;
+  std::set<std::uint64_t> failed_ids;  // submit order is id order
   {
     FaultInjector fault(seed);
     CheckpointManager ckpts(dir.str(), &fault);
@@ -448,11 +450,12 @@ TEST(EncoderKernel, ServeJournalReplayStaysBitExactWithNewEncoder) {
     for (std::size_t id = 0; id < kRequests; ++id)
       futs.push_back(server.submit("default", f.codes_for(id), 1));
     server.shutdown();
-    for (auto& fut : futs) {
+    for (std::size_t id = 0; id < futs.size(); ++id) {
       try {
-        const InferenceResult res = fut.get();
+        futs[id].get();
         served++;
       } catch (const std::runtime_error&) {
+        failed_ids.insert(id);
       }
     }
     ASSERT_LT(served, kRequests) << "the injected crash must lose work";
@@ -463,8 +466,14 @@ TEST(EncoderKernel, ServeJournalReplayStaysBitExactWithNewEncoder) {
   // reference for every journaled request.
   CheckpointManager ckpts(dir.str());
   const auto rs = serve::recovery::recover_state(ckpts, journal_path);
-  EXPECT_EQ(rs.journal.accepted, kRequests);
-  ASSERT_EQ(rs.journal.unacknowledged.size(), kRequests - served);
+  // Cadence compaction may have pruned acknowledged accepts, so the
+  // record counts are not fixed; what must hold exactly is that the
+  // unacknowledged set is the set of requests the crash failed.
+  std::set<std::uint64_t> unacked_ids;
+  for (const auto& rec : rs.journal.unacknowledged)
+    unacked_ids.insert(rec.id);
+  ASSERT_EQ(unacked_ids, failed_ids);
+  EXPECT_EQ(rs.next_request_id, kRequests);
   RequestJournal journal(journal_path);
   ServerOptions opts;
   opts.num_workers = 2;

@@ -48,11 +48,11 @@ RpcRequest make_request(std::uint64_t corr,
 // ------------------------------------------------------- frame decoder
 
 TEST(FrameDecoderTest, RoundTripsSingleAndMultipleFrames) {
-  std::ostringstream os;
-  maddness::write_framed_blob(os, "alpha");
-  maddness::write_framed_blob(os, "");
-  maddness::write_framed_blob(os, std::string(10000, 'x'));
-  const std::string bytes = os.str();
+  wire::Writer w;
+  maddness::write_framed_blob(w, "alpha");
+  maddness::write_framed_blob(w, "");
+  maddness::write_framed_blob(w, std::string(10000, 'x'));
+  const std::string bytes = w.str();
 
   FrameDecoder dec(1 << 20);
   dec.feed(bytes.data(), bytes.size());
@@ -68,9 +68,9 @@ TEST(FrameDecoderTest, RoundTripsSingleAndMultipleFrames) {
 }
 
 TEST(FrameDecoderTest, ByteAtATimeFeedReassembles) {
-  std::ostringstream os;
-  maddness::write_framed_blob(os, "drip-fed payload");
-  const std::string bytes = os.str();
+  wire::Writer w;
+  maddness::write_framed_blob(w, "drip-fed payload");
+  const std::string bytes = w.str();
 
   FrameDecoder dec(1 << 20);
   std::string payload;
@@ -84,9 +84,9 @@ TEST(FrameDecoderTest, ByteAtATimeFeedReassembles) {
 }
 
 TEST(FrameDecoderTest, CrcMismatchIsBad) {
-  std::ostringstream os;
-  maddness::write_framed_blob(os, "to be corrupted");
-  std::string bytes = os.str();
+  wire::Writer w;
+  maddness::write_framed_blob(w, "to be corrupted");
+  std::string bytes = w.str();
   bytes[bytes.size() - 1] ^= 0x01;  // flip a payload bit
 
   FrameDecoder dec(1 << 20);
@@ -423,9 +423,9 @@ TEST(NetServerTest, WellFramedGarbageAnsweredMalformedAndConnSurvives) {
   RawConn raw;
   raw.connect(lb.net->port());
 
-  std::ostringstream os;
-  maddness::write_framed_blob(os, "not an rpc message at all");
-  raw.send_bytes(os.str());
+  wire::Writer w;
+  maddness::write_framed_blob(w, "not an rpc message at all");
+  raw.send_bytes(w.str());
   // The same socket then carries a valid request — the malformed
   // payload must not have poisoned the stream.
   raw.send_bytes(make_request(5, lb.fix.codes_for(5)).encode());

@@ -11,6 +11,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -62,10 +65,49 @@ TEST(Framing, Crc32MatchesKnownVector) {
   EXPECT_EQ(maddness::crc32(std::string()), 0u);
 }
 
+// The byte-at-a-time table loop the slicing-by-8 CRC replaced: the
+// reference every length, alignment and chaining split must match.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t crc) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return ~crc;
+}
+
+TEST(Framing, Crc32SlicingMatchesBytewiseReference) {
+  Rng rng(test_seed());
+  // 4691 B is one 16-row tcp_journal accept record.
+  std::vector<std::uint8_t> buf(4691 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4691);
+  for (const std::size_t n : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const std::uint8_t* p = buf.data() + off;
+      const std::uint32_t want = crc32_bytewise(p, n, 0);
+      ASSERT_EQ(maddness::crc32(p, n), want) << "n=" << n << " off=" << off;
+      // Seed chaining: any split point continues the same checksum.
+      for (const std::size_t cut : {std::size_t{0}, n / 3, n / 2, n}) {
+        const std::uint32_t head = maddness::crc32(p, cut);
+        ASSERT_EQ(maddness::crc32(p + cut, n - cut, head), want)
+            << "n=" << n << " off=" << off << " cut=" << cut;
+      }
+      // A nonzero seed matches the reference's chaining too.
+      ASSERT_EQ(maddness::crc32(p, n, 0x12345678u),
+                crc32_bytewise(p, n, 0x12345678u));
+    }
+  }
+}
+
 TEST(Framing, FramedBlobRoundTripAndCorruptionDetected) {
-  std::ostringstream os;
-  maddness::write_framed_blob(os, "hello, shard");
-  std::string bytes = os.str();
+  wire::Writer w;
+  maddness::write_framed_blob(w, "hello, shard");
+  std::string bytes = w.str();
   {
     std::istringstream is(bytes);
     EXPECT_EQ(maddness::read_framed_blob(is), "hello, shard");
@@ -387,6 +429,7 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
     payloads.push_back(f.codes_for(id * 3 + 1));
 
   std::size_t served_before_crash = 0;
+  std::set<std::uint64_t> failed_ids;  // submit order is id order
   {
     FaultInjector fault(seed);
     CheckpointManager ckpts(dir.str(), &fault);
@@ -429,6 +472,7 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
         served_before_crash++;
       } catch (const std::runtime_error&) {
         // Lost to the crash; the journal owns it now.
+        failed_ids.insert(id);
       }
     }
     EXPECT_LT(served_before_crash, kRequests);
@@ -439,10 +483,13 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
   CheckpointManager ckpts(dir.str());
   const auto rs = recovery::recover_state(ckpts, journal_path);
   ASSERT_TRUE(rs.has_checkpoint());
-  EXPECT_EQ(rs.journal.accepted, kRequests);
-  EXPECT_EQ(rs.journal.completed, served_before_crash);
-  EXPECT_EQ(rs.journal.unacknowledged.size(),
-            kRequests - served_before_crash);
+  // Cadence compaction may have pruned acknowledged accepts, so the
+  // record counts are not fixed; what must hold exactly is that the
+  // unacknowledged set is the set of requests the crash failed.
+  std::set<std::uint64_t> unacked_ids;
+  for (const AcceptedRecord& rec : rs.journal.unacknowledged)
+    unacked_ids.insert(rec.id);
+  EXPECT_EQ(unacked_ids, failed_ids);
   EXPECT_EQ(rs.next_request_id, kRequests);
 
   RequestJournal journal(journal_path);  // keep journaling on recovery
@@ -483,6 +530,181 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
   // The second run journaled its acks; a third read shows none left.
   const auto after = RequestJournal::read(journal_path);
   EXPECT_TRUE(after.unacknowledged.empty());
+}
+
+// Every cadence checkpoint compacts the WAL: serving many cadence
+// windows keeps the physical file near one window of records instead of
+// growing for the whole run, and a hard crash on top of the compacted
+// file still restores and replays bit-exact.
+TEST(Recovery, CadenceCompactionBoundsJournal) {
+  const std::uint64_t seed = test_seed();
+  SCOPED_TRACE(seed_trace(seed));
+  const ServeFixture f = ServeFixture::make();
+  TmpDir dir("cadence-compact");
+  const std::string journal_path = dir.file("requests.jnl");
+  constexpr std::size_t kEvery = 8;
+  constexpr std::size_t kServed = 12 * kEvery;  // >= 10 cadence rounds
+  constexpr std::size_t kLost = 4;              // unserved at the crash
+
+  // Journal bytes one request leaves behind: its accept + ack frames.
+  std::uint64_t per_request = 0;
+  {
+    TmpDir sizing("cadence-sizing");
+    RequestJournal j(sizing.file("j"));
+    j.append_accepted(0, engine::ModelRegistry::kDefaultModel, 1, 1,
+                      f.codes_for(0));
+    j.append_completed(0, 0, 0);
+    per_request = j.durable_bytes() - 8;
+  }
+  // Magic + compaction marker, then at most two cadence windows of
+  // requests: the one being served, and the one the checkpoint could
+  // not prune because its last accept was still in flight.
+  const std::uint64_t bound = 8 + 29 + 2 * kEvery * per_request;
+  ASSERT_LT(bound, kServed * per_request) << "bound must be meaningful";
+
+  Rng rng(seed);
+  std::uintmax_t peak_wal = 0;
+  std::set<std::uint64_t> failed_ids;
+  {
+    FaultInjector fault(seed);
+    CheckpointManager ckpts(dir.str());
+    RequestJournal journal(journal_path);
+    ServerOptions opts;
+    opts.num_workers = 1;
+    opts.queue_capacity = 2 * (kServed + kLost);
+    opts.batcher.max_batch_tokens = 1;
+    opts.batcher.max_wait = std::chrono::microseconds(0);
+    opts.recovery.fault = &fault;
+    opts.recovery.journal = &journal;
+    opts.recovery.checkpoints = &ckpts;
+    opts.recovery.checkpoint_every = kEvery;
+    opts.recovery.supervise = false;
+    InferenceServer server(default_registry(f.amm), opts);
+    for (std::size_t id = 0; id < kServed; ++id) {
+      const auto codes = f.codes_for(rng.next_below(f.pool.rows));
+      EXPECT_EQ(server.submit("default", codes, 1).get().outputs,
+                f.expected_for(codes, 1));
+      peak_wal =
+          std::max(peak_wal, std::filesystem::file_size(journal_path));
+    }
+    EXPECT_LE(peak_wal, bound);
+
+    // Hard crash: the shard dies on its next batch, so the last
+    // requests stay accepted but unacknowledged.
+    FaultPlan kill;
+    kill.site = FaultSite::kExecute;
+    kill.kind = FaultKind::kKillShard;
+    kill.fire_at = fault.polls(FaultSite::kExecute) + 1;
+    fault.arm(kill);
+    std::vector<std::future<InferenceResult>> futs;
+    for (std::size_t i = 0; i < kLost; ++i)
+      futs.push_back(server.submit("default", f.codes_for(i), 1));
+    server.shutdown();
+    for (std::size_t i = 0; i < kLost; ++i) {
+      try {
+        futs[i].get();
+      } catch (const std::runtime_error&) {
+        failed_ids.insert(kServed + i);
+      }
+    }
+  }
+  ASSERT_EQ(failed_ids.size(), kLost);
+
+  CheckpointManager ckpts(dir.str());
+  const auto rs = recovery::recover_state(ckpts, journal_path);
+  ASSERT_TRUE(rs.has_checkpoint());
+  EXPECT_GT(rs.journal.compacted_through, 0u);
+  std::set<std::uint64_t> unacked_ids;
+  for (const AcceptedRecord& rec : rs.journal.unacknowledged)
+    unacked_ids.insert(rec.id);
+  EXPECT_EQ(unacked_ids, failed_ids);
+  EXPECT_EQ(rs.next_request_id, kServed + kLost);
+
+  RequestJournal journal(journal_path);
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.recovery.journal = &journal;
+  opts.recovery.checkpoints = &ckpts;
+  auto server = InferenceServer::restore(rs, opts);
+  auto futs = server->replay(rs.journal.unacknowledged);
+  ASSERT_EQ(futs.size(), kLost);
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const AcceptedRecord& rec = rs.journal.unacknowledged[i];
+    const InferenceResult res = futs[i].get();
+    EXPECT_EQ(res.request_id, rec.id);
+    EXPECT_EQ(res.outputs, f.expected_for(rec.codes, rec.rows))
+        << "replayed request " << rec.id << " diverged";
+  }
+  EXPECT_EQ(server->submit("default", f.codes_for(0), 1).get().request_id,
+            kServed + kLost);
+  server->shutdown();
+}
+
+// The compaction horizon is the journal seq captured before the
+// checkpoint's watermark is read. Pruning further (records admitted
+// after the watermark was read) would let recover_state derive a
+// next_request_id at or below ids already acknowledged, and a restored
+// server would hand those ids out again.
+TEST(Recovery, CompactionKeepsRecoveredIdsAboveEveryAck) {
+  const std::uint64_t seed = test_seed();
+  SCOPED_TRACE(seed_trace(seed));
+  const ServeFixture f = ServeFixture::make();
+  TmpDir dir("horizon");
+  const std::string journal_path = dir.file("requests.jnl");
+  CheckpointManager ckpts(dir.str());
+  RequestJournal journal(journal_path);
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.batcher.max_wait = std::chrono::microseconds(0);
+  opts.recovery.journal = &journal;
+  opts.recovery.checkpoints = &ckpts;
+  // No cadence: the compactions below are the only ones, so no
+  // checkpoint or rewrite races the recover_state reads.
+  InferenceServer server(default_registry(f.amm), opts);
+
+  constexpr int kSubmitters = 3;
+  constexpr int kRounds = 150;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> acked_next{0};  // 1 + highest acked id
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(seed + static_cast<std::uint64_t>(t));
+      while (!stop.load()) {
+        const auto codes = f.codes_for(rng.next_below(f.pool.rows));
+        const InferenceResult res =
+            server.submit("default", codes, 1).get();
+        if (res.outputs != f.expected_for(codes, 1)) wrong++;
+        std::uint64_t cur = acked_next.load();
+        while (cur < res.request_id + 1 &&
+               !acked_next.compare_exchange_weak(cur, res.request_id + 1)) {
+        }
+        // Think time: the journal often drains to fully acknowledged,
+        // the state in which an over-eager compaction prunes
+        // everything admitted after the checkpoint's watermark.
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(rng.next_below(400)));
+      }
+    });
+  }
+
+  Rng rng(seed);
+  std::uint64_t pruned = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(rng.next_below(2000)));
+    pruned += server.compact_journal();
+    const std::uint64_t acked = acked_next.load();
+    const auto rs = recovery::recover_state(ckpts, journal_path);
+    EXPECT_GE(rs.next_request_id, acked)
+        << "round " << round << ": a restore would reissue an acked id";
+  }
+  stop = true;
+  for (auto& th : submitters) th.join();
+  server.shutdown();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(pruned, 0u);
 }
 
 TEST(Recovery, UnsupervisedCrashFailsFuturesLoudly) {

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/fixed_point.hpp"
@@ -284,37 +288,93 @@ class FailingStreambuf : public std::streambuf {
   std::size_t written_ = 0;
 };
 
-// Regression: wire::put_* used to swallow write failures — a full disk
-// or closed socket only surfaced as a CRC mismatch when the blob was
-// read back, far from the fault. The helpers must now throw at the
-// write site.
+// Regression: wire writes used to swallow failures — a full disk or
+// closed socket only surfaced as a CRC mismatch when the blob was read
+// back, far from the fault. The single write of a Writer's buffer must
+// throw at the write site.
 TEST(Wire, PutFailsLoudlyWhenSinkRejectsBytes) {
+  wire::Writer w32;
+  w32.put_u32(0xDEADBEEFu);
   FailingStreambuf sink(/*budget=*/2);  // dies mid-u32
   std::ostream os(&sink);
-  EXPECT_THROW(wire::put_u32(os, 0xDEADBEEFu), CheckError);
+  EXPECT_THROW(wire::write_all(os, w32.str()), CheckError);
   EXPECT_EQ(sink.written(), 2u);  // failed at the third byte, loudly
 
+  wire::Writer w64;
+  w64.put_u64(1);
   FailingStreambuf sink64(/*budget=*/5);  // dies mid-u64
   std::ostream os64(&sink64);
-  EXPECT_THROW(wire::put_u64(os64, 1), CheckError);
+  EXPECT_THROW(wire::write_all(os64, w64.str()), CheckError);
 
+  wire::Writer w8;
+  w8.put_u8(7);
   FailingStreambuf dead(/*budget=*/0);  // first byte already fails
   std::ostream osd(&dead);
-  EXPECT_THROW(wire::put_u8(osd, 7), CheckError);
+  EXPECT_THROW(wire::write_all(osd, w8.str()), CheckError);
+
+  FailingStreambuf roomy(/*budget=*/8);
+  std::ostream ok(&roomy);
+  wire::write_all(ok, w64.str());  // fits: no throw
+  EXPECT_EQ(roomy.written(), 8u);
 }
 
 TEST(Wire, PutGetRoundTripStillWorks) {
-  std::stringstream ss;
-  wire::put_u8(ss, 0xAB);
-  wire::put_u32(ss, 0x01020304u);
-  wire::put_u64(ss, 0x0102030405060708ull);
-  wire::put_f32(ss, 1.5f);
-  wire::put_f64(ss, -2.25);
-  EXPECT_EQ(wire::get_u8(ss), 0xAB);
-  EXPECT_EQ(wire::get_u32(ss), 0x01020304u);
-  EXPECT_EQ(wire::get_u64(ss), 0x0102030405060708ull);
-  EXPECT_EQ(wire::get_f32(ss), 1.5f);
-  EXPECT_EQ(wire::get_f64(ss), -2.25);
+  wire::Writer w;
+  w.put_u8(0xAB);
+  w.put_u32(0x01020304u);
+  w.put_u64(0x0102030405060708ull);
+  w.put_f32(1.5f);
+  w.put_f64(-2.25);
+  // Explicit little-endian layout, independent of the host.
+  EXPECT_EQ(w.str().substr(1, 4), std::string("\x04\x03\x02\x01", 4));
+  wire::Cursor c(w.str());
+  EXPECT_EQ(c.get_u8(), 0xAB);
+  EXPECT_EQ(c.get_u32(), 0x01020304u);
+  EXPECT_EQ(c.get_u64(), 0x0102030405060708ull);
+  EXPECT_EQ(c.get_f32(), 1.5f);
+  EXPECT_EQ(c.get_f64(), -2.25);
+  EXPECT_TRUE(c.done());
+  EXPECT_THROW(c.get_u8(), CheckError);  // underflow is loud
+  std::uint32_t v = 0;
+  EXPECT_FALSE(c.u32(&v));  // ...or a plain false on the bool form
+}
+
+TEST(Wire, ArraysAndStringsRoundTripAndRefuseOverlongCounts) {
+  const std::vector<std::int16_t> outs = {0, -1, 32767, -32768, 258};
+  const std::vector<float> table = {0.5f, -3.0f, 1e-7f};
+  wire::Writer w;
+  w.put_str32("tenant");
+  w.put_str64("model");
+  w.put_array(outs.data(), outs.size());
+  w.put_array(table.data(), table.size());
+  // int16 travels as little-endian byte pairs.
+  EXPECT_EQ(w.str().substr(4 + 6 + 8 + 5 + 2 * 4, 2),
+            std::string("\x02\x01", 2));
+
+  wire::Cursor c(w.str());
+  std::string tenant, model;
+  std::vector<std::int16_t> outs_back;
+  std::vector<float> table_back;
+  ASSERT_TRUE(c.str(&tenant));
+  ASSERT_TRUE(c.str64(&model));
+  ASSERT_TRUE(c.array(&outs_back, outs.size()));
+  ASSERT_TRUE(c.array(&table_back, table.size()));
+  EXPECT_TRUE(c.done());
+  EXPECT_EQ(tenant, "tenant");
+  EXPECT_EQ(model, "model");
+  EXPECT_EQ(outs_back, outs);
+  EXPECT_EQ(table_back, table);
+
+  // A count larger than the bytes left fails before anything is sized,
+  // so a hostile length word cannot force a giant allocation.
+  wire::Cursor short_c(w.str());
+  std::vector<std::int16_t> huge;
+  EXPECT_FALSE(short_c.array(&huge, std::uint64_t{1} << 62));
+  EXPECT_TRUE(huge.empty());
+  EXPECT_EQ(short_c.remaining(), w.size());  // nothing consumed
+  std::string s;
+  wire::Cursor trunc(std::string_view(w.str()).substr(0, 7));
+  EXPECT_FALSE(trunc.str(&s));  // length 6, only 3 bytes follow
 }
 
 }  // namespace
