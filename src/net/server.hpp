@@ -222,6 +222,8 @@ class NetClient {
   bool broken() const { return broken_.load(std::memory_order_acquire); }
 
  private:
+  /// Throws unless connected and not poisoned.
+  void check_usable() const;
   void send_bytes(const std::string& bytes);
   /// Reads socket bytes into the decoder until one frame payload is
   /// complete; false on a clean close at a frame boundary.

@@ -64,6 +64,12 @@ std::string encode(std::uint64_t version, const CheckpointState& st) {
   return w.take();
 }
 
+void write_bytes(const std::string& path, std::string_view bytes) {
+  std::ofstream os(path, std::ios::binary);
+  SSMA_CHECK_MSG(os.is_open(), "cannot open " << path);
+  wire::write_all(os, bytes);
+}
+
 }  // namespace
 
 CheckpointManager::CheckpointManager(std::string dir, FaultInjector* fault)
@@ -90,7 +96,7 @@ std::vector<std::uint64_t> CheckpointManager::versions() const {
 std::uint64_t CheckpointManager::write(const CheckpointState& st) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t version = next_version_++;
-  const std::string final_path = path_of(version);
+  const std::string bytes = encode(version, st);
 
   if (fault_) {
     const FaultAction act = fault_->poll(FaultSite::kCheckpointWrite);
@@ -98,33 +104,56 @@ std::uint64_t CheckpointManager::write(const CheckpointState& st) {
       // Simulated crash on a non-atomic filesystem: the final name
       // exists but holds only half the bytes. load_latest() must skip
       // it via the CRC frame.
-      const std::string bytes = encode(version, st);
-      std::ofstream os(final_path, std::ios::binary);
-      SSMA_CHECK_MSG(os.is_open(), "cannot open " << final_path);
-      wire::write_all(os,
-                      std::string_view(bytes).substr(0, bytes.size() / 2));
+      write_bytes(path_of(version),
+                  std::string_view(bytes).substr(0, bytes.size() / 2));
       return version;
     }
   }
-
-  const std::string tmp_path = final_path + ".tmp";
-  write_file(tmp_path, version, st);
-  fs::rename(tmp_path, final_path);
+  commit(version, bytes);
   return version;
+}
+
+std::optional<CheckpointState> CheckpointManager::install(
+    std::uint64_t version, const std::string& bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  try {
+    CheckpointState st = decode(bytes, path_of(version));
+    commit(version, bytes);
+    return st;
+  } catch (const std::exception&) {
+    std::error_code ec;
+    fs::remove(path_of(version) + ".tmp", ec);
+    return std::nullopt;
+  }
+}
+
+void CheckpointManager::commit(std::uint64_t version,
+                               std::string_view bytes) const {
+  const std::string final_path = path_of(version);
+  const std::string tmp_path = final_path + ".tmp";
+  write_bytes(tmp_path, bytes);
+  fs::rename(tmp_path, final_path);
+  const std::vector<std::uint64_t> vs = versions();
+  for (std::size_t i = 0; i + kKeepVersions < vs.size(); ++i) {
+    std::error_code ec;  // a reader racing the delete is not an error
+    fs::remove(path_of(vs[i]), ec);
+  }
 }
 
 void CheckpointManager::write_file(const std::string& path,
                                    std::uint64_t version,
                                    const CheckpointState& st) {
-  std::ofstream os(path, std::ios::binary);
-  SSMA_CHECK_MSG(os.is_open(), "cannot open " << path);
-  wire::write_all(os, encode(version, st));
+  write_bytes(path, encode(version, st));
 }
 
 CheckpointState CheckpointManager::load_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   SSMA_CHECK_MSG(is.is_open(), "cannot open checkpoint " << path);
-  const std::string bytes = wire::read_all(is);
+  return decode(wire::read_all(is), path);
+}
+
+CheckpointState CheckpointManager::decode(const std::string& bytes,
+                                          const std::string& path) {
   wire::Cursor file(bytes);
   std::string_view magic;
   const bool framed = file.view(8, &magic);

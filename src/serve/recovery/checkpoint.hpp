@@ -19,13 +19,17 @@
 // a write never shadows the previous good version; the CRC frame in
 // the header catches torn files produced by non-atomic filesystems (or
 // the injected torn-checkpoint fault), and load_latest() falls back to
-// the newest version that validates.
+// the newest version that validates. Every completed write keeps only
+// the newest kKeepVersions files, so the directory stays bounded while
+// a torn newest version still has older ones to fall back to.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ssma::serve::recovery {
@@ -52,6 +56,8 @@ struct CheckpointState {
 
 class CheckpointManager {
  public:
+  static constexpr std::size_t kKeepVersions = 3;
+
   /// `dir` is created if missing; existing checkpoint files in it are
   /// adopted (versioning continues after the highest). The injector, if
   /// given, is polled at kCheckpointWrite. Neither is owned.
@@ -70,6 +76,16 @@ class CheckpointManager {
   /// Strict single-file load; throws CheckError on a torn or corrupt
   /// checkpoint.
   static CheckpointState load_file(const std::string& path);
+  /// load_file() on bytes already in memory; `path` names them in errors.
+  static CheckpointState decode(const std::string& bytes,
+                                const std::string& path);
+
+  /// Validates `bytes` as a whole checkpoint file (one shipped by a
+  /// replication leader), then atomically installs it as `version` and
+  /// prunes. nullopt, with nothing installed, when the bytes do not
+  /// validate or cannot be stored. Thread-safe.
+  std::optional<CheckpointState> install(std::uint64_t version,
+                                         const std::string& bytes);
 
   /// Deterministic encoder used by write(): same version + state
   /// always produce byte-identical files (the golden-format test
@@ -83,6 +99,10 @@ class CheckpointManager {
   const std::string& dir() const { return dir_; }
 
  private:
+  /// Writes `bytes` as `version` (tmp file, then rename), then deletes
+  /// all but the newest kKeepVersions files. Caller holds mu_.
+  void commit(std::uint64_t version, std::string_view bytes) const;
+
   std::string dir_;
   FaultInjector* fault_;
   mutable std::mutex mu_;

@@ -4,15 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "maddness/framing.hpp"
+#include "net/tcp.hpp"
 #include "net/wire_protocol.hpp"
 #include "serve/recovery/recovery.hpp"
-#include "serve/replication/socket_util.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -23,27 +21,16 @@ namespace ssma::serve::replication {
 using net::FrameDecoder;
 using net::MsgType;
 using net::ReplMessage;
+using net::send_all;
 
 namespace {
 
-bool recv_frame(int fd, FrameDecoder& dec, std::string* payload) {
-  for (;;) {
-    switch (dec.next(payload)) {
-      case FrameDecoder::Result::kFrame:
-        return true;
-      case FrameDecoder::Result::kBad:
-        return false;
-      case FrameDecoder::Result::kNeedMore:
-        break;
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    dec.feed(buf, static_cast<std::size_t>(n));
-  }
+/// Acks `seq` as this follower's durable high-water mark.
+bool send_ack(int fd, std::uint64_t seq) {
+  ReplMessage ack;
+  ack.type = MsgType::kReplAck;
+  ack.arg = seq;
+  return send_all(fd, ack.encode());
 }
 
 }  // namespace
@@ -54,27 +41,14 @@ ReplicaApplier::ReplicaApplier(const ApplierOptions& opts) : opts_(opts) {
   journal_path_ = opts_.dir + "/journal.ssj";
   ckpt_dir_ = opts_.dir + "/checkpoints";
   journal_ = std::make_unique<recovery::RequestJournal>(journal_path_);
-  // Path/versions helper only; never written through, so its version
-  // counter (fixed at construction, before any checkpoint arrives) is
-  // irrelevant. The promoted server gets a fresh manager.
-  ckpt_paths_ = std::make_unique<recovery::CheckpointManager>(ckpt_dir_);
+  // Installs shipped files only; never written through, so its
+  // version counter (fixed at construction, before any checkpoint
+  // arrives) is irrelevant. The promoted server gets a fresh manager.
+  shipped_ckpts_ = std::make_unique<recovery::CheckpointManager>(ckpt_dir_);
   thread_ = std::thread([this] { run(); });
 }
 
 ReplicaApplier::~ReplicaApplier() { stop(); }
-
-std::uint64_t ReplicaApplier::newest_local_checkpoint() const {
-  const auto versions = ckpt_paths_->versions();
-  for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-    try {
-      (void)recovery::CheckpointManager::load_file(ckpt_paths_->path_of(*it));
-      return *it;
-    } catch (const std::exception&) {
-      continue;  // torn — an older version may still validate
-    }
-  }
-  return 0;
-}
 
 void ReplicaApplier::build_standby() {
   recovery::CheckpointManager cm(ckpt_dir_);
@@ -105,43 +79,25 @@ void ReplicaApplier::build_standby() {
 }
 
 bool ReplicaApplier::handle_checkpoint(const ReplMessage& m) {
-  const std::string path = ckpt_paths_->path_of(m.arg);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(m.bytes.data(),
-             static_cast<std::streamsize>(m.bytes.size()));
-    os.flush();
-    if (!os) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  recovery::CheckpointState st;
-  try {
-    st = recovery::CheckpointManager::load_file(tmp);
-  } catch (const std::exception&) {
-    // The frame CRC passed but the checkpoint payload does not
-    // validate: treat as a torn stream and resync.
-    std::remove(tmp.c_str());
-    return false;
-  }
-  std::filesystem::rename(tmp, path);
+  // A frame whose CRC passed but whose checkpoint does not validate
+  // (or cannot be stored) is treated as a torn stream: resync.
+  const auto st = shipped_ckpts_->install(m.arg, m.bytes);
+  if (!st) return false;
 
   if (!standby_) {
     build_standby();
-  } else if (!st.registry_blob.empty()) {
+  } else if (!st->registry_blob.empty()) {
     // Incremental registry application: already-installed versions are
     // skipped (live pins untouched), the stream's latest pointers are
     // honored exactly — the hot-swap-aware half of promotion fidelity.
-    std::istringstream is(st.registry_blob);
+    std::istringstream is(st->registry_blob);
     standby_->registry().merge(is);
   }
   std::lock_guard<std::mutex> lk(mu_);
   ++checkpoints_received_;
   ckpt_version_ = std::max(ckpt_version_, m.arg);
   ckpt_next_request_id_ =
-      std::max(ckpt_next_request_id_, st.next_request_id);
+      std::max(ckpt_next_request_id_, st->next_request_id);
   return true;
 }
 
@@ -186,11 +142,7 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
       std::lock_guard<std::mutex> lk(mu_);
       ++dup_records_;
     }
-    ReplMessage ack;
-    ack.type = MsgType::kReplAck;
-    ack.arg = durable;
-    const std::string frame = ack.encode();
-    return send_all(fd, frame.data(), frame.size());
+    return send_ack(fd, durable);
   }
   if (m.arg != durable + 1) {
     // Sequence gap (a drop upstream): resync from our true mark.
@@ -227,12 +179,8 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
   }
   cv_.notify_all();
 
-  ReplMessage ack;
-  ack.type = MsgType::kReplAck;
-  ack.arg = seq;
-  const std::string frame = ack.encode();
   for (int i = 0; i < acks; ++i)
-    if (!send_all(fd, frame.data(), frame.size())) return false;
+    if (!send_ack(fd, seq)) return false;
   return true;
 }
 
@@ -254,12 +202,11 @@ void ReplicaApplier::session(int fd) {
     hb.put_u64(journal_->durable_bytes());
     hello.bytes = hb.take();
   }
-  const std::string frame = hello.encode();
-  if (send_all(fd, frame.data(), frame.size())) {
+  if (send_all(fd, hello.encode())) {
     FrameDecoder dec(opts_.max_frame_bytes);
     std::string payload;
     ReplMessage m;
-    while (recv_frame(fd, dec, &payload)) {
+    while (net::recv_frame(fd, dec, &payload) == net::RecvStatus::kFrame) {
       if (!net::parse_repl(payload, &m)) break;
       if (m.type == MsgType::kReplReject) {
         std::lock_guard<std::mutex> lk(mu_);
@@ -281,11 +228,7 @@ void ReplicaApplier::session(int fd) {
         // we already hold records — the leader only sends this to a
         // follower that handshook with seq 0.
         journal_->adopt_base(m.arg, m.arg2);
-        ReplMessage ack;
-        ack.type = MsgType::kReplAck;
-        ack.arg = m.arg;
-        const std::string af = ack.encode();
-        if (!send_all(fd, af.data(), af.size())) break;
+        if (!send_ack(fd, m.arg)) break;
       } else {
         break;
       }
@@ -299,12 +242,9 @@ void ReplicaApplier::session(int fd) {
 
 void ReplicaApplier::run() {
   // Follower-restart resume: adopt whatever checkpoints + journal this
-  // dir already holds before asking the leader for the delta.
+  // dir already holds before asking the leader for the delta (this also
+  // sets ckpt_version_ to the newest local checkpoint that validates).
   build_standby();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ckpt_version_ = std::max(ckpt_version_, newest_local_checkpoint());
-  }
 
   Rng rng(opts_.backoff_seed);
   std::uint64_t attempt = 0;
@@ -315,7 +255,7 @@ void ReplicaApplier::run() {
       if (stopping_) return;
       ++connect_attempts_;
     }
-    const int fd = tcp_connect(opts_.leader_host, opts_.leader_port);
+    const int fd = net::tcp_connect(opts_.leader_host, opts_.leader_port);
     if (fd >= 0) {
       attempt = 0;
       {
@@ -330,18 +270,10 @@ void ReplicaApplier::run() {
       session(fd);
       continue;
     }
-    // Capped exponential backoff with deterministic seeded jitter.
-    const std::uint64_t base =
-        static_cast<std::uint64_t>(opts_.backoff_base.count());
-    const std::uint64_t cap =
-        static_cast<std::uint64_t>(opts_.backoff_cap.count());
-    const std::uint64_t shift = std::min<std::uint64_t>(attempt, 20);
-    std::uint64_t delay = std::min(cap, base << shift);
-    delay += rng.next_below(delay / 2 + 1);
-    ++attempt;
+    const auto delay = net::backoff_delay(attempt++, opts_.backoff_base,
+                                          opts_.backoff_cap, rng);
     std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait_for(lk, std::chrono::milliseconds(delay),
-                 [&] { return stopping_; });
+    cv_.wait_for(lk, delay, [&] { return stopping_; });
   }
 }
 

@@ -151,16 +151,14 @@ class ReplicaApplier {
   /// Returns false when the session must be torn down (gap/tear).
   bool handle_record(const net::ReplMessage& m, int fd);
   void build_standby();
-  /// Newest on-disk checkpoint version that validates (0 = none).
-  std::uint64_t newest_local_checkpoint() const;
 
   ApplierOptions opts_;
   std::string journal_path_;
   std::string ckpt_dir_;
   std::unique_ptr<recovery::RequestJournal> journal_;
-  /// Path helper only (never written through); the promoted server gets
-  /// a fresh manager so its version counter adopts shipped files.
-  std::unique_ptr<recovery::CheckpointManager> ckpt_paths_;
+  /// Installs shipped files (never written through); the promoted
+  /// server gets a fresh manager so its version counter adopts them.
+  std::unique_ptr<recovery::CheckpointManager> shipped_ckpts_;
   std::unique_ptr<recovery::CheckpointManager> promoted_ckpts_;
 
   std::thread thread_;

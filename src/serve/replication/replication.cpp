@@ -4,14 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
+#include <cerrno>
 #include <fstream>
-#include <iterator>
 #include <utility>
 
 #include "maddness/framing.hpp"
+#include "net/tcp.hpp"
 #include "net/wire_protocol.hpp"
-#include "serve/replication/socket_util.hpp"
 #include "serve/request_queue.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
@@ -22,6 +21,7 @@ namespace ssma::serve::replication {
 using net::FrameDecoder;
 using net::MsgType;
 using net::ReplMessage;
+using net::send_all;
 
 const char* to_string(AckMode mode) {
   switch (mode) {
@@ -36,28 +36,6 @@ const char* to_string(AckMode mode) {
 }
 
 namespace {
-
-/// Blocking frame receive: drains the decoder, refilling from the
-/// socket as needed. False on peer close, socket error, or a bad frame.
-bool recv_frame(int fd, FrameDecoder& dec, std::string* payload) {
-  for (;;) {
-    switch (dec.next(payload)) {
-      case FrameDecoder::Result::kFrame:
-        return true;
-      case FrameDecoder::Result::kBad:
-        return false;
-      case FrameDecoder::Result::kNeedMore:
-        break;
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    dec.feed(buf, static_cast<std::size_t>(n));
-  }
-}
 
 /// Tails a journal file by VIRTUAL byte offset (the stable addressing
 /// that survives compaction): translates to a physical seek through the
@@ -113,22 +91,8 @@ ReplicationLog::ReplicationLog(recovery::RequestJournal& journal,
   // timestamps exist for them); the record-count lag still covers them.
   replicated_bytes_ = leader_bytes_;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  SSMA_CHECK_MSG(listen_fd_ >= 0, "replication: socket() failed");
-  int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts_.port);
-  SSMA_CHECK_MSG(::inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) == 1, "replication: bad listen host: " + opts_.host);
-  SSMA_CHECK_MSG(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    sizeof(addr)) == 0, "replication: bind failed on " + opts_.host);
-  SSMA_CHECK_MSG(::listen(listen_fd_, 8) == 0, "replication: listen failed");
-  socklen_t len = sizeof(addr);
-  SSMA_CHECK_MSG(::getsockname(listen_fd_,
-                           reinterpret_cast<sockaddr*>(&addr), &len) == 0, "replication: getsockname failed");
-  port_ = ntohs(addr.sin_port);
+  listen_fd_ = net::tcp_listen(opts_.host, opts_.port, /*backlog=*/8,
+                              /*nonblocking=*/false, &port_);
 
   journal_.set_commit_hook([this](std::uint64_t seq, std::uint64_t bytes) {
     on_commit(seq, bytes);
@@ -174,8 +138,7 @@ void ReplicationLog::accept_main() {
       if (errno == EINTR) continue;
       return;  // listener shut down
     }
-    int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // TCP_NODELAY is inherited from the listener.
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) {
       ::close(fd);
@@ -186,33 +149,6 @@ void ReplicationLog::accept_main() {
     f->fd = fd;
     f->session = std::thread([this, f] { session_main(f); });
   }
-}
-
-std::uint64_t ReplicationLog::newest_valid_checkpoint() {
-  if (!checkpoints_) return 0;
-  const auto versions = checkpoints_->versions();
-  for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-    bool valid;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      auto cached = ckpt_valid_.find(*it);
-      if (cached != ckpt_valid_.end()) {
-        if (cached->second) return *it;
-        continue;
-      }
-    }
-    try {
-      (void)recovery::CheckpointManager::load_file(
-          checkpoints_->path_of(*it));
-      valid = true;
-    } catch (const std::exception&) {
-      valid = false;  // torn (e.g. injected kTornCheckpoint) — skip
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    ckpt_valid_[*it] = valid;
-    if (valid) return *it;
-  }
-  return 0;
 }
 
 bool ReplicationLog::faulted_send(Follower* f, const std::string& frame,
@@ -257,7 +193,7 @@ bool ReplicationLog::faulted_send(Follower* f, const std::string& frame,
     }
   }
   for (int i = 0; i < dup; ++i) {
-    if (!send_all(f->fd, frame.data(), frame.size())) return false;
+    if (!send_all(f->fd, frame)) return false;
     std::lock_guard<std::mutex> lk(mu_);
     bytes_sent_ += frame.size();
   }
@@ -266,27 +202,37 @@ bool ReplicationLog::faulted_send(Follower* f, const std::string& frame,
 }
 
 bool ReplicationLog::ship_checkpoints(Follower* f) {
-  const std::uint64_t v = newest_valid_checkpoint();
-  if (v == 0 || v <= f->shipped_ckpt) return true;
-  std::ifstream is(checkpoints_->path_of(v), std::ios::binary);
-  if (!is) return true;  // raced a cleanup; next round retries
-  std::string bytes((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-  ReplMessage m;
-  m.type = MsgType::kReplCheckpoint;
-  m.arg = v;
-  m.bytes = std::move(bytes);
-  bool sent = false;
-  // A dropped checkpoint cannot be gap-detected from sequence numbers
-  // the way records are, so treat drop like a torn stream: cut the
-  // connection and let the reconnect handshake re-ship it.
-  if (!faulted_send(f, m.encode(), &sent) || !sent) {
-    ::shutdown(f->fd, SHUT_RDWR);
-    return false;
+  if (!checkpoints_) return true;
+  const std::vector<std::uint64_t> versions = checkpoints_->versions();
+  // Newest first. A version that does not validate — torn (e.g. the
+  // injected kTornCheckpoint) or pruned since the listing — yields to
+  // the one before it.
+  for (auto it = versions.rbegin();
+       it != versions.rend() && *it > f->shipped_ckpt; ++it) {
+    const std::string path = checkpoints_->path_of(*it);
+    std::ifstream is(path, std::ios::binary);
+    ReplMessage m;
+    m.type = MsgType::kReplCheckpoint;
+    m.arg = *it;
+    m.bytes = wire::read_all(is);
+    try {
+      (void)recovery::CheckpointManager::decode(m.bytes, path);
+    } catch (const std::exception&) {
+      continue;
+    }
+    bool sent = false;
+    // A dropped checkpoint cannot be gap-detected from sequence numbers
+    // the way records are, so treat drop like a torn stream: cut the
+    // connection and let the reconnect handshake re-ship it.
+    if (!faulted_send(f, m.encode(), &sent) || !sent) {
+      ::shutdown(f->fd, SHUT_RDWR);
+      return false;
+    }
+    f->shipped_ckpt = *it;
+    std::lock_guard<std::mutex> lk(mu_);
+    ++checkpoints_shipped_;
+    return true;
   }
-  f->shipped_ckpt = v;
-  std::lock_guard<std::mutex> lk(mu_);
-  ++checkpoints_shipped_;
   return true;
 }
 
@@ -294,43 +240,33 @@ void ReplicationLog::session_main(Follower* f) {
   FrameDecoder dec(opts_.max_frame_bytes);
   std::string payload;
   ReplMessage hello;
-  bool ok = recv_frame(f->fd, dec, &payload) &&
-            net::parse_repl(payload, &hello) &&
-            hello.type == MsgType::kReplHello;
-  if (ok && hello.arg > journal_.durable_seq()) {
-    // The follower claims records this leader never wrote: it has
-    // diverged (e.g. promoted, or paired with a different leader) and
-    // must not be silently rewound.
+  bool ok =
+      net::recv_frame(f->fd, dec, &payload) == net::RecvStatus::kFrame &&
+      net::parse_repl(payload, &hello) &&
+      hello.type == MsgType::kReplHello;
+  // Refuses a follower whose prefix this leader cannot serve
+  // byte-exact, loudly rather than rewinding it.
+  const auto reject_stale = [&](const std::string& why) {
     ReplMessage rej;
     rej.type = MsgType::kReplReject;
     rej.arg = static_cast<std::uint64_t>(RejectReason::kStaleFollower);
-    rej.bytes = "follower seq " + std::to_string(hello.arg) +
-                " ahead of leader seq " +
-                std::to_string(journal_.durable_seq());
-    const std::string frame = rej.encode();
-    (void)send_all(f->fd, frame.data(), frame.size());
+    rej.bytes = "follower seq " + std::to_string(hello.arg) + why;
+    (void)send_all(f->fd, rej.encode());
     std::lock_guard<std::mutex> lk(mu_);
     ++rejected_followers_;
     ok = false;
-  }
+  };
+  // The follower claims records this leader never wrote: it has
+  // diverged (e.g. promoted, or paired with a different leader).
+  if (ok && hello.arg > journal_.durable_seq())
+    reject_stale(" ahead of leader seq " +
+                 std::to_string(journal_.durable_seq()));
   JournalTailer tail(journal_);
-  if (ok && hello.arg > 0 && hello.arg < tail.info().base_seq) {
-    // The follower's resume point was pruned by compaction while it was
-    // disconnected (compaction only waits for CONNECTED followers'
-    // acks). Its prefix can no longer be served byte-exact: refuse
-    // loudly rather than rewind it.
-    ReplMessage rej;
-    rej.type = MsgType::kReplReject;
-    rej.arg = static_cast<std::uint64_t>(RejectReason::kStaleFollower);
-    rej.bytes = "follower seq " + std::to_string(hello.arg) +
-                " behind compaction horizon " +
-                std::to_string(tail.info().base_seq);
-    const std::string frame = rej.encode();
-    (void)send_all(f->fd, frame.data(), frame.size());
-    std::lock_guard<std::mutex> lk(mu_);
-    ++rejected_followers_;
-    ok = false;
-  }
+  // The follower's resume point was pruned by compaction while it was
+  // disconnected (compaction only waits for CONNECTED followers' acks).
+  if (ok && hello.arg > 0 && hello.arg < tail.info().base_seq)
+    reject_stale(" behind compaction horizon " +
+                 std::to_string(tail.info().base_seq));
 
   std::uint64_t next_seq = hello.arg + 1;
   std::uint64_t pos = 8;  // VIRTUAL offset past the journal magic
@@ -480,7 +416,7 @@ void ReplicationLog::reader_main(Follower* f) {
   FrameDecoder dec(opts_.max_frame_bytes);
   std::string payload;
   ReplMessage m;
-  while (recv_frame(f->fd, dec, &payload)) {
+  while (net::recv_frame(f->fd, dec, &payload) == net::RecvStatus::kFrame) {
     if (!net::parse_repl(payload, &m) || m.type != MsgType::kReplAck)
       break;
     std::lock_guard<std::mutex> lk(mu_);

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -167,8 +166,6 @@ class ReplicationLog {
   /// Returns false when the connection is (or was made) unusable.
   bool faulted_send(Follower* f, const std::string& frame,
                     bool* advanced);
-  /// Newest on-disk checkpoint version whose file validates (0 = none).
-  std::uint64_t newest_valid_checkpoint();
 
   recovery::RequestJournal& journal_;
   recovery::CheckpointManager* checkpoints_;
@@ -202,7 +199,6 @@ class ReplicationLog {
   /// still inside cv_.wait_for on mu_/cv_.
   std::size_t waiters_ = 0;
   std::list<std::unique_ptr<Follower>> followers_;
-  std::map<std::uint64_t, bool> ckpt_valid_;  ///< load_file result cache
 
   // Lifetime counters (under mu_).
   std::uint64_t records_sent_ = 0;

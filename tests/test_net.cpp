@@ -5,15 +5,21 @@
 // class (unknown model, malformed payload, rate limiting, expired
 // deadlines, shutdown), protocol-error hangups, concurrent
 // connections, and graceful stop with clients attached (no hangs, no
-// lost acks).
+// lost acks). Also the shared blocking TCP transport (net/tcp.hpp):
+// every recv_frame outcome over a loopback pair, send_all to a closed
+// peer, connect to a dead port, backoff determinism, and no fd leak
+// when a listener fails to bind.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -22,6 +28,7 @@
 
 #include "maddness/framing.hpp"
 #include "net/server.hpp"
+#include "net/tcp.hpp"
 #include "net/wire_protocol.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
@@ -186,34 +193,207 @@ TEST(WireProtocolTest, MalformedPayloadsAreRejectedNotRead) {
   EXPECT_FALSE(parse_request(RpcResponse{}.encode().substr(12), &out));
 }
 
+// ------------------------------------------------------ tcp transport
+
+std::string framed(const std::string& payload) {
+  wire::Writer w;
+  maddness::write_framed_blob(w, payload);
+  return w.take();
+}
+
+/// A connected loopback pair: `client` from tcp_connect, `server` the
+/// accepted end. Closes whatever is still open.
+struct TcpPair {
+  int client = -1;
+  int server = -1;
+
+  TcpPair() {
+    std::uint16_t port = 0;
+    const int lfd = tcp_listen("127.0.0.1", 0, 1, /*nonblocking=*/false,
+                               &port);
+    client = tcp_connect("127.0.0.1", port);
+    server = ::accept4(lfd, nullptr, nullptr, SOCK_CLOEXEC);
+    ::close(lfd);
+  }
+  ~TcpPair() {
+    close_client();
+    if (server >= 0) ::close(server);
+  }
+  void close_client() {
+    if (client >= 0) ::close(client);
+    client = -1;
+  }
+};
+
+/// A port nothing listens on: bound once, then closed.
+std::uint16_t unused_port() {
+  std::uint16_t port = 0;
+  ::close(tcp_listen("127.0.0.1", 0, 1, /*nonblocking=*/false, &port));
+  return port;
+}
+
+TEST(TcpTransport, RecvFrameReportsFrameThenCleanClose) {
+  TcpPair p;
+  ASSERT_GE(p.client, 0);
+  ASSERT_GE(p.server, 0);
+  ASSERT_TRUE(send_all(p.client, framed("one") + framed("two")));
+  p.close_client();
+
+  FrameDecoder dec(1 << 20);
+  std::string payload;
+  ASSERT_EQ(recv_frame(p.server, dec, &payload), RecvStatus::kFrame);
+  EXPECT_EQ(payload, "one");
+  ASSERT_EQ(recv_frame(p.server, dec, &payload), RecvStatus::kFrame);
+  EXPECT_EQ(payload, "two");
+  EXPECT_EQ(recv_frame(p.server, dec, &payload), RecvStatus::kClosed);
+}
+
+TEST(TcpTransport, RecvFrameReportsCloseMidFrame) {
+  TcpPair p;
+  const std::string frame = framed("cut short");
+  ASSERT_TRUE(send_all(p.client, frame.data(), frame.size() - 3));
+  p.close_client();
+
+  FrameDecoder dec(1 << 20);
+  std::string payload;
+  EXPECT_EQ(recv_frame(p.server, dec, &payload), RecvStatus::kTruncated);
+}
+
+TEST(TcpTransport, RecvFrameReportsCrcCorruptFrame) {
+  TcpPair p;
+  std::string frame = framed("flipped");
+  frame.back() ^= 0x01;
+  ASSERT_TRUE(send_all(p.client, frame));
+
+  FrameDecoder dec(1 << 20);
+  std::string payload;
+  EXPECT_EQ(recv_frame(p.server, dec, &payload), RecvStatus::kBad);
+}
+
+TEST(TcpTransport, RecvFrameReportsResetAsErrorWithErrno) {
+  TcpPair p;
+  // Zero linger: close() sends RST, so the reader's recv fails.
+  const linger abort_close{1, 0};
+  ASSERT_EQ(::setsockopt(p.client, SOL_SOCKET, SO_LINGER, &abort_close,
+                         sizeof(abort_close)),
+            0);
+  p.close_client();
+
+  FrameDecoder dec(1 << 20);
+  std::string payload;
+  const RecvStatus st = recv_frame(p.server, dec, &payload);
+  const int err = errno;
+  EXPECT_EQ(st, RecvStatus::kError);
+  EXPECT_EQ(err, ECONNRESET) << std::strerror(err);
+}
+
+TEST(TcpTransport, SendAllToClosedPeerFailsWithoutSigpipe) {
+  TcpPair p;
+  ::close(p.server);
+  p.server = -1;
+  // The first write may still be accepted locally; the peer's RST then
+  // fails a later one. Without MSG_NOSIGNAL that failure is a SIGPIPE,
+  // which kills this process.
+  const std::string chunk(4096, 'x');
+  bool failed = false;
+  int err = 0;
+  std::size_t sent = chunk.size();
+  for (int i = 0; i < 200 && !failed; ++i) {
+    failed = !send_all(p.client, chunk, &sent);
+    err = errno;
+    if (!failed) {
+      EXPECT_EQ(sent, chunk.size());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_TRUE(failed);
+  EXPECT_TRUE(err == EPIPE || err == ECONNRESET) << std::strerror(err);
+  EXPECT_LT(sent, chunk.size());
+}
+
+TEST(TcpTransport, ConnectToDeadPortFailsAndKeepsErrno) {
+  const std::uint16_t port = unused_port();
+  errno = 0;
+  int fd = tcp_connect("127.0.0.1", port);
+  int err = errno;
+  EXPECT_EQ(fd, -1);
+  EXPECT_EQ(err, ECONNREFUSED) << std::strerror(err);
+  errno = 0;
+  fd = tcp_connect("not-an-ipv4-address", 80);
+  err = errno;
+  EXPECT_EQ(fd, -1);
+  EXPECT_EQ(err, EINVAL) << std::strerror(err);
+}
+
+TEST(TcpTransport, ConnectedAndAcceptedSocketsHaveNodelay) {
+  TcpPair p;
+  for (const int fd : {p.client, p.server}) {
+    int on = 0;
+    socklen_t len = sizeof(on);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+    EXPECT_NE(on, 0) << "fd " << fd;
+  }
+}
+
+TEST(TcpTransport, BackoffDelayIsSeededAndCapped) {
+  const std::uint64_t seed = serve::test_seed();
+  SCOPED_TRACE(serve::seed_trace(seed));
+  const std::chrono::milliseconds base(5);
+  const std::chrono::milliseconds cap(300);
+  Rng a(seed);
+  Rng b(seed);
+  for (std::uint64_t attempt = 0; attempt < 40; ++attempt) {
+    const auto d = backoff_delay(attempt, base, cap, a);
+    EXPECT_EQ(d, backoff_delay(attempt, base, cap, b)) << attempt;
+    const std::int64_t step = std::min<std::int64_t>(
+        cap.count(), base.count() << std::min<std::uint64_t>(attempt, 20));
+    EXPECT_GE(d.count(), step) << attempt;
+    EXPECT_LE(d.count(), step + step / 2) << attempt;
+  }
+}
+
+/// Open descriptors of this process (the count includes the one the
+/// directory walk itself holds, identically every time).
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(NetServerTest, FailedBindThrowsWithoutLeakingTheListener) {
+  ServeFixture fix = ServeFixture::make();
+  serve::InferenceServer server(serve::ServerOptions{});
+  server.register_model("m", fix.amm);
+
+  const std::size_t before = open_fds();
+  std::uint16_t port = 0;
+  const int taken = tcp_listen("127.0.0.1", 0, 1, /*nonblocking=*/false,
+                               &port);
+  NetServerOptions nopts;
+  nopts.port = port;
+  EXPECT_THROW({ NetServer blocked(server, nopts); }, CheckError);
+  ::close(taken);
+  EXPECT_EQ(open_fds(), before);
+  server.shutdown();
+}
+
 // -------------------------------------------------------- end to end
 
-/// Raw TCP writer for protocol-error tests (NetClient refuses to send
+/// Raw TCP peer for protocol-error tests (NetClient refuses to send
 /// garbage on purpose).
 class RawConn {
  public:
   void connect(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    ASSERT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
+    fd_ = tcp_connect("127.0.0.1", port);
+    ASSERT_GE(fd_, 0) << std::strerror(errno);
   }
-  void send_bytes(const std::string& b) {
-    std::size_t off = 0;
-    while (off < b.size()) {
-      const ssize_t n =
-          ::send(fd_, b.data() + off, b.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-  ssize_t recv_some(char* buf, std::size_t cap) {
-    return ::recv(fd_, buf, cap, 0);
+  void send_bytes(const std::string& b) { ASSERT_TRUE(send_all(fd_, b)); }
+  RecvStatus recv(FrameDecoder& dec, std::string* payload) {
+    return recv_frame(fd_, dec, payload);
   }
   /// Blocks until the peer closes; true on EOF.
   bool drain_to_eof() {
@@ -433,22 +613,12 @@ TEST(NetServerTest, WellFramedGarbageAnsweredMalformedAndConnSurvives) {
   // Read both responses through a bare decoder on the raw socket.
   FrameDecoder dec(1 << 20);
   std::map<std::uint64_t, std::uint8_t> status;
-  char buf[4096];
   std::string payload;
-  int got = 0;
-  while (got < 2) {
-    FrameDecoder::Result r = dec.next(&payload);
-    if (r == FrameDecoder::Result::kFrame) {
-      RpcResponse resp;
-      ASSERT_TRUE(parse_response(payload, &resp));
-      status[resp.correlation_id] = resp.status;
-      got++;
-      continue;
-    }
-    ASSERT_NE(r, FrameDecoder::Result::kBad);
-    const ssize_t n = raw.recv_some(buf, sizeof(buf));
-    ASSERT_GT(n, 0);
-    dec.feed(buf, static_cast<std::size_t>(n));
+  for (int got = 0; got < 2; ++got) {
+    ASSERT_EQ(raw.recv(dec, &payload), RecvStatus::kFrame);
+    RpcResponse resp;
+    ASSERT_TRUE(parse_response(payload, &resp));
+    status[resp.correlation_id] = resp.status;
   }
   EXPECT_EQ(status.at(0), status_of(RejectReason::kMalformed));
   EXPECT_EQ(status.at(5), kStatusOk);

@@ -215,6 +215,43 @@ TEST(Checkpoint, TornWriteFallsBackToLastValidVersion) {
   EXPECT_EQ(version, 3u);
 }
 
+TEST(Checkpoint, KeepsNewestVersionsAndTornNewestFallsBack) {
+  TmpDir dir("prune");
+  FaultInjector fault(test_seed());
+  CheckpointManager mgr(dir.str(), &fault);
+  CheckpointState st;
+  st.amm_blob = std::string(512, 'p');
+  for (std::uint64_t v = 1; v <= 10; ++v) {
+    st.next_request_id = v;
+    EXPECT_EQ(mgr.write(st), v);
+  }
+  EXPECT_EQ(mgr.versions(), (std::vector<std::uint64_t>{8, 9, 10}));
+
+  // A torn newest version: the older ones it would otherwise shadow are
+  // all still there to fall back to.
+  FaultPlan torn;
+  torn.site = FaultSite::kCheckpointWrite;
+  torn.kind = FaultKind::kTornCheckpoint;
+  torn.fire_at = fault.polls(FaultSite::kCheckpointWrite) + 1;
+  fault.arm(torn);
+  st.next_request_id = 11;
+  EXPECT_EQ(mgr.write(st), 11u);
+  std::uint64_t version = 0;
+  auto loaded = mgr.load_latest(&version);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(version, 10u);
+  EXPECT_EQ(loaded->next_request_id, 10u);
+
+  // The next good write prunes back to three, keeping the torn one's
+  // predecessor.
+  st.next_request_id = 12;
+  EXPECT_EQ(mgr.write(st), 12u);
+  EXPECT_EQ(mgr.versions(), (std::vector<std::uint64_t>{10, 11, 12}));
+  loaded = mgr.load_latest(&version);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(version, 12u);
+}
+
 // ------------------------------------------------------------- journal
 
 TEST(Journal, ReplaySeparatesUnacknowledgedFromCompleted) {
@@ -640,6 +677,93 @@ TEST(Recovery, CadenceCompactionBoundsJournal) {
   server->shutdown();
 }
 
+TEST(Recovery, CadenceCheckpointsKeepTheDirectoryBounded) {
+  const std::uint64_t seed = test_seed();
+  SCOPED_TRACE(seed_trace(seed));
+  const ServeFixture f = ServeFixture::make();
+  TmpDir dir("cadence-prune");
+  const std::string journal_path = dir.file("requests.jnl");
+  constexpr std::size_t kEvery = 4;
+  constexpr std::size_t kServed = 64 * kEvery;  // 64 cadence windows
+  constexpr std::size_t kLost = 3;              // unserved at the crash
+
+  const auto checkpoint_files = [&] {
+    std::size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir.str()))
+      if (e.path().extension() == ".ssck") ++n;
+    return n;
+  };
+
+  Rng rng(seed);
+  std::size_t peak_files = 0;
+  std::set<std::uint64_t> failed_ids;
+  {
+    FaultInjector fault(seed);
+    CheckpointManager ckpts(dir.str());
+    RequestJournal journal(journal_path);
+    ServerOptions opts;
+    opts.num_workers = 1;
+    opts.queue_capacity = 2 * (kServed + kLost);
+    opts.batcher.max_batch_tokens = 1;
+    opts.batcher.max_wait = std::chrono::microseconds(0);
+    opts.recovery.fault = &fault;
+    opts.recovery.journal = &journal;
+    opts.recovery.checkpoints = &ckpts;
+    opts.recovery.checkpoint_every = kEvery;
+    opts.recovery.supervise = false;
+    InferenceServer server(default_registry(f.amm), opts);
+    for (std::size_t id = 0; id < kServed; ++id) {
+      const auto codes = f.codes_for(rng.next_below(f.pool.rows));
+      EXPECT_EQ(server.submit("default", codes, 1).get().outputs,
+                f.expected_for(codes, 1));
+      peak_files = std::max(peak_files, checkpoint_files());
+    }
+    EXPECT_GE(ckpts.versions().back(), 64u);
+
+    FaultPlan kill;
+    kill.site = FaultSite::kExecute;
+    kill.kind = FaultKind::kKillShard;
+    kill.fire_at = fault.polls(FaultSite::kExecute) + 1;
+    fault.arm(kill);
+    std::vector<std::future<InferenceResult>> futs;
+    for (std::size_t i = 0; i < kLost; ++i)
+      futs.push_back(server.submit("default", f.codes_for(i), 1));
+    server.shutdown();
+    for (std::size_t i = 0; i < kLost; ++i) {
+      try {
+        futs[i].get();
+      } catch (const std::runtime_error&) {
+        failed_ids.insert(kServed + i);
+      }
+    }
+  }
+  EXPECT_LE(peak_files, CheckpointManager::kKeepVersions);
+  ASSERT_EQ(failed_ids.size(), kLost);
+
+  // Restore from what the pruned directory kept, then replay.
+  CheckpointManager ckpts(dir.str());
+  const auto rs = recovery::recover_state(ckpts, journal_path);
+  ASSERT_TRUE(rs.has_checkpoint());
+  std::set<std::uint64_t> unacked_ids;
+  for (const AcceptedRecord& rec : rs.journal.unacknowledged)
+    unacked_ids.insert(rec.id);
+  EXPECT_EQ(unacked_ids, failed_ids);
+  RequestJournal journal(journal_path);
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.recovery.journal = &journal;
+  opts.recovery.checkpoints = &ckpts;
+  auto server = InferenceServer::restore(rs, opts);
+  auto futs = server->replay(rs.journal.unacknowledged);
+  ASSERT_EQ(futs.size(), kLost);
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const AcceptedRecord& rec = rs.journal.unacknowledged[i];
+    EXPECT_EQ(futs[i].get().outputs, f.expected_for(rec.codes, rec.rows))
+        << "replayed request " << rec.id << " diverged";
+  }
+  server->shutdown();
+}
+
 // The compaction horizon is the journal seq captured before the
 // checkpoint's watermark is read. Pruning further (records admitted
 // after the watermark was read) would let recover_state derive a
@@ -757,8 +881,10 @@ TEST(Recovery, CheckpointCadenceWritesVersions) {
   for (auto& fut : futs) fut.get();
   server.shutdown();
 
-  // Startup checkpoint + one per 4 accepted requests.
-  EXPECT_GE(ckpts.versions().size(), 4u);
+  // Startup checkpoint + one per 4 accepted requests; only the newest
+  // few stay on disk.
+  ASSERT_FALSE(ckpts.versions().empty());
+  EXPECT_GE(ckpts.versions().back(), 4u);
   std::uint64_t version = 0;
   const auto latest = ckpts.load_latest(&version);
   ASSERT_TRUE(latest.has_value());

@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -26,6 +27,7 @@
 #include "engine/model_registry.hpp"
 #include "maddness/framing.hpp"
 #include "net/server.hpp"
+#include "net/tcp.hpp"
 #include "net/wire_protocol.hpp"
 #include "serve/recovery/checkpoint.hpp"
 #include "serve/recovery/fault_injector.hpp"
@@ -61,6 +63,13 @@ std::string slurp(const std::string& path) {
 
 std::uint32_t crc_of(const std::vector<std::int16_t>& out) {
   return maddness::crc32(out.data(), out.size() * sizeof(std::int16_t));
+}
+
+/// A port nothing listens on: bound once, then closed.
+std::uint16_t unused_port() {
+  std::uint16_t port = 0;
+  ::close(net::tcp_listen("127.0.0.1", 0, 1, /*nonblocking=*/false, &port));
+  return port;
 }
 
 // ------------------------------------------------- wire round-trips
@@ -676,20 +685,60 @@ TEST(Replication, StaleFollowerGetsTypedRejection) {
   }
 }
 
+TEST(Replication, ShipsNewestValidCheckpointAndFollowerKeepsThree) {
+  const ServeFixture f = ServeFixture::make();
+  TmpDir dir("ship");
+  FaultInjector fault(test_seed());
+  CheckpointManager ckpts(dir.file("leader-ckpts"), &fault);
+  recovery::CheckpointState st;
+  st.registry_blob = default_registry(f.amm)->save_string();
+  ASSERT_EQ(ckpts.write(st), 1u);
+  // The newest version is torn: the leader must ship version 1 instead,
+  // not re-offer the torn file on every reconnect.
+  FaultPlan torn;
+  torn.site = FaultSite::kCheckpointWrite;
+  torn.kind = FaultKind::kTornCheckpoint;
+  torn.fire_at = fault.polls(FaultSite::kCheckpointWrite) + 1;
+  fault.arm(torn);
+  ASSERT_EQ(ckpts.write(st), 2u);
+
+  RequestJournal journal(dir.file("leader.jnl"));
+  ReplicationLog repl(journal, &ckpts, ReplicationOptions{});
+  ApplierOptions aopts;
+  aopts.leader_port = repl.port();
+  aopts.dir = dir.file("follower");
+  aopts.server.num_workers = 1;
+  ReplicaApplier applier(aopts);
+  ASSERT_TRUE(applier.wait_standby(std::chrono::seconds(10)));
+  const auto follower_file = [&](std::uint64_t v) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "/checkpoint-%06llu.ssck",
+                  static_cast<unsigned long long>(v));
+    return applier.checkpoint_dir() + name;
+  };
+  EXPECT_EQ(slurp(follower_file(1)), slurp(ckpts.path_of(1)));
+  EXPECT_FALSE(std::filesystem::exists(follower_file(2)));
+
+  // Each later version reaches the follower, which keeps the newest
+  // three exactly as the leader does.
+  for (std::uint64_t v = 3; v <= 7; ++v) {
+    ASSERT_EQ(ckpts.write(st), v);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!std::filesystem::exists(follower_file(v)) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(std::filesystem::exists(follower_file(v))) << v;
+  }
+  EXPECT_EQ(recovery::CheckpointManager(applier.checkpoint_dir()).versions(),
+            (std::vector<std::uint64_t>{5, 6, 7}));
+  EXPECT_EQ(ckpts.versions(), (std::vector<std::uint64_t>{5, 6, 7}));
+  EXPECT_EQ(applier.stats().checkpoints_received, 6u);
+  EXPECT_EQ(applier.stats().reconnects, 0u);
+}
+
 TEST(Replication, PromoteBeforeFirstCheckpointIsTypedNotReady) {
-  // A dead port: bind an ephemeral listener, note the port, close it.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t dead_port = ntohs(addr.sin_port);
-  ::close(fd);
+  const std::uint16_t dead_port = unused_port();
 
   TmpDir dir("notready");
   ApplierOptions aopts;
@@ -888,19 +937,7 @@ TEST(NetClientRetry, BacksOffUntilTheListenerAppears) {
 }
 
 TEST(NetClientRetry, ExhaustedAttemptsThrowTheConnectError) {
-  // A dead port (bound once, then closed).
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t dead_port = ntohs(addr.sin_port);
-  ::close(fd);
+  const std::uint16_t dead_port = unused_port();
 
   net::NetClient client;
   EXPECT_THROW(client.connect_with_retry(
