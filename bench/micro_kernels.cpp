@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "maddness/amm.hpp"
+#include "maddness/framing.hpp"
 #include "sim/macro.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
@@ -105,6 +106,30 @@ void BM_PackedLutKernel(benchmark::State& state) {
   state.SetLabel(maddness::kernel_tier_name(tier));
 }
 BENCHMARK(BM_PackedLutKernel)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_Crc32(benchmark::State& state) {
+  // One crc32 path (0 = slicing-by-8, 1 = PCLMULQDQ fold) over an
+  // odd-aligned buffer: a short frame, a 16-row response, a 16-row
+  // journal record and a checkpoint-sized blob.
+  const bool fold = state.range(0) == 1;
+  if (fold && !maddness::detail::crc32_fold_available()) {
+    state.SkipWithError("PCLMUL + SSE4.1 not available on this CPU");
+    return;
+  }
+  const auto n = static_cast<std::size_t>(state.range(1));
+  Rng rng(6);
+  std::vector<std::uint8_t> buf(n + 1);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  const std::uint8_t* p = buf.data() + 1;
+  for (auto _ : state) {
+    const std::uint32_t crc = fold ? maddness::detail::crc32_fold(p, n, 0)
+                                   : maddness::detail::crc32_slicing8(p, n, 0);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.SetLabel(fold ? "fold" : "slicing8");
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{0, 1}, {64, 2048, 4691, 1 << 20}});
 
 void BM_TreeEncode(benchmark::State& state) {
   // Per-row reference walk — the scalar baseline BM_BatchEncoder is

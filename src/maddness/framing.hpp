@@ -19,10 +19,23 @@
 
 namespace ssma::maddness {
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), slicing-by-8.
-/// `crc` chains incremental updates; pass 0 to start a fresh checksum.
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320). `crc` chains
+/// incremental updates; pass 0 to start a fresh checksum. Two paths give
+/// the same bytes: a PCLMULQDQ carry-less-multiply fold over the largest
+/// 16-byte multiple of any buffer >= 64 B (chosen once, from CPUID, on
+/// CPUs with PCLMUL + SSE4.1), and slicing-by-8 for the tail, for short
+/// buffers, on other CPUs, and everywhere under SSMA_KERNEL=scalar.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 std::uint32_t crc32(std::string_view s);
+
+namespace detail {
+/// The two crc32() paths, callable directly (benchmarks). crc32_fold
+/// requires crc32_fold_available().
+bool crc32_fold_available();
+std::uint32_t crc32_slicing8(const void* data, std::size_t n,
+                             std::uint32_t crc);
+std::uint32_t crc32_fold(const void* data, std::size_t n, std::uint32_t crc);
+}  // namespace detail
 
 /// u64 length + u32 CRC.
 inline constexpr std::size_t kFrameHeaderBytes = 12;

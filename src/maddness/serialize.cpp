@@ -5,7 +5,6 @@
 // for the serving runtime, whose crash recovery reprograms worker shards
 // from persisted blobs.
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -21,31 +20,6 @@ namespace ssma::maddness {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'S', 'M', 'A', 'A', 'M', 'M', '2'};
-
-/// Slicing-by-8 tables: t[0] is the classic byte-at-a-time table, and
-/// t[k][b] advances t[k-1][b] by one more zero byte, so eight table
-/// lookups retire eight input bytes per step.
-struct CrcTables {
-  std::uint32_t t[8][256];
-};
-
-constexpr CrcTables make_crc_tables() {
-  CrcTables tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    tables.t[0][i] = c;
-  }
-  for (int k = 1; k < 8; ++k)
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      const std::uint32_t prev = tables.t[k - 1][i];
-      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFFu];
-    }
-  return tables;
-}
-
-constexpr CrcTables kCrc = make_crc_tables();
 
 void put_matrix(wire::Writer& w, const Matrix& m) {
   w.put_u64(m.rows());
@@ -66,26 +40,6 @@ Matrix get_matrix(wire::Cursor& c) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
-  const auto& t = kCrc.t;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  crc = ~crc;
-  for (; n >= 8; p += 8, n -= 8) {
-    std::uint32_t lo, hi;  // little-endian host (util/wire.hpp)
-    std::memcpy(&lo, p, 4);
-    std::memcpy(&hi, p + 4, 4);
-    lo ^= crc;
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
-          t[0][hi >> 24];
-  }
-  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
-  return ~crc;
-}
-
-std::uint32_t crc32(std::string_view s) { return crc32(s.data(), s.size()); }
 
 std::size_t begin_frame(wire::Writer& w) {
   const std::size_t start = w.size();

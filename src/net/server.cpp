@@ -159,7 +159,7 @@ void NetServer::accept_ready() {
     auto conn = std::make_unique<Conn>(opts_.max_frame_bytes);
     conn->fd = fd;
     epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLRDHUP;
+    ev.events = conn->armed = EPOLLIN | EPOLLRDHUP;
     ev.data.u64 = id;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
       ::close(fd);
@@ -429,19 +429,22 @@ void NetServer::drain_outbox() {
     std::lock_guard<std::mutex> lock(out_mu_);
     done.swap(outbox_);
   }
+  std::vector<std::uint64_t> touched;
   for (Completion& comp : done) {
     const auto it = conns_.find(comp.conn_id);
     if (it == conns_.end()) continue;  // connection died mid-flight
     Conn& c = *it->second;
     if (c.inflight > 0) c.inflight--;
     enqueue_response(c, comp.bytes);
+    if (std::find(touched.begin(), touched.end(), comp.conn_id) ==
+        touched.end())
+      touched.push_back(comp.conn_id);
   }
   // Flush and re-arm once per touched connection, not per completion.
-  for (Completion& comp : done) {
-    const auto it = conns_.find(comp.conn_id);
+  for (const std::uint64_t id : touched) {
+    const auto it = conns_.find(id);
     if (it == conns_.end()) continue;
-    if (flush_writes(comp.conn_id, *it->second))
-      update_interest(comp.conn_id, *it->second);
+    if (flush_writes(id, *it->second)) update_interest(id, *it->second);
   }
 }
 
@@ -467,6 +470,8 @@ void NetServer::update_interest(std::uint64_t id, Conn& c) {
   if (!paused && !stopping_.load(std::memory_order_acquire))
     ev.events |= EPOLLIN;
   if (unflushed > 0) ev.events |= EPOLLOUT;
+  if (ev.events == c.armed) return;  // level-triggered: nothing to change
+  c.armed = ev.events;
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
 }
 

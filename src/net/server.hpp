@@ -119,6 +119,7 @@ class NetServer {
     std::size_t wpos = 0;   ///< flushed prefix of wbuf
     std::size_t inflight = 0;
     bool read_paused = false;
+    std::uint32_t armed = 0;  ///< epoll event mask last installed
     explicit Conn(std::size_t max_frame) : decoder(max_frame) {}
   };
 

@@ -65,8 +65,9 @@ TEST(Framing, Crc32MatchesKnownVector) {
   EXPECT_EQ(maddness::crc32(std::string()), 0u);
 }
 
-// The byte-at-a-time table loop the slicing-by-8 CRC replaced: the
-// reference every length, alignment and chaining split must match.
+// The byte-at-a-time bitwise CRC: the reference both crc32 paths (the
+// PCLMULQDQ fold and slicing-by-8) must match for every length,
+// alignment, chaining split and seed.
 std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n,
                              std::uint32_t crc) {
   crc = ~crc;
@@ -78,28 +79,37 @@ std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n,
   return ~crc;
 }
 
+// Runs on the default path; the SSMA_KERNEL=scalar ctest entry runs it
+// again on slicing-by-8.
 TEST(Framing, Crc32SlicingMatchesBytewiseReference) {
   Rng rng(test_seed());
-  // 4691 B is one 16-row tcp_journal accept record.
-  std::vector<std::uint8_t> buf(4691 + 8);
-  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  // Every length through five 64-byte fold blocks and their 16-byte and
+  // byte tails, plus a page, one 16-row tcp_journal accept record
+  // (4691 B) and a long odd buffer.
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
-  lengths.push_back(4691);
+  for (std::size_t n = 0; n <= 320; ++n) lengths.push_back(n);
+  for (const std::size_t n : {4096, 4691, 65536 + 7}) lengths.push_back(n);
+  std::vector<std::uint8_t> buf(65536 + 7 + 16);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
   for (const std::size_t n : lengths) {
-    for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t off = 0; off < 16; ++off) {
       const std::uint8_t* p = buf.data() + off;
-      const std::uint32_t want = crc32_bytewise(p, n, 0);
-      ASSERT_EQ(maddness::crc32(p, n), want) << "n=" << n << " off=" << off;
-      // Seed chaining: any split point continues the same checksum.
-      for (const std::size_t cut : {std::size_t{0}, n / 3, n / 2, n}) {
-        const std::uint32_t head = maddness::crc32(p, cut);
-        ASSERT_EQ(maddness::crc32(p + cut, n - cut, head), want)
-            << "n=" << n << " off=" << off << " cut=" << cut;
+      for (const std::uint32_t seed : {0u, 0x12345678u, 0xFFFFFFFFu}) {
+        const std::uint32_t want = crc32_bytewise(p, n, seed);
+        ASSERT_EQ(maddness::crc32(p, n, seed), want)
+            << "n=" << n << " off=" << off << " seed=" << seed;
+        // Seed chaining: any split point continues the same checksum.
+        for (const std::size_t cut :
+             {std::size_t{0}, std::size_t{1}, std::size_t{15},
+              std::size_t{16}, std::size_t{63}, std::size_t{64},
+              std::size_t{65}, n / 3, n / 2, n - 1, n}) {
+          if (cut > n) continue;
+          const std::uint32_t head = maddness::crc32(p, cut, seed);
+          ASSERT_EQ(maddness::crc32(p + cut, n - cut, head), want)
+              << "n=" << n << " off=" << off << " seed=" << seed
+              << " cut=" << cut;
+        }
       }
-      // A nonzero seed matches the reference's chaining too.
-      ASSERT_EQ(maddness::crc32(p, n, 0x12345678u),
-                crc32_bytewise(p, n, 0x12345678u));
     }
   }
 }
